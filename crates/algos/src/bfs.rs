@@ -1,7 +1,7 @@
 //! Breadth-first search (hop counts) as a PIE program — SSSP with unit
 //! weights, exercising the same machinery over arbitrary edge data.
 
-use crate::common::{dijkstra_from_seeds, emit_policy, gather_owned, INF};
+use crate::common::{dijkstra_from_seeds, gather_owned, INF};
 use aap_core::pie::{Messages, PieProgram, UpdateCtx};
 use aap_graph::{Fragment, LocalId, VertexId};
 use std::sync::Arc;
@@ -35,16 +35,14 @@ impl<V: Sync + Send, E: Sync + Send> PieProgram<V, E> for Bfs {
 
     fn peval(&self, src: &VertexId, frag: &Fragment<V, E>, ctx: &mut UpdateCtx<u64>) -> BfsState {
         let mut dist = vec![INF; frag.local_count()];
-        let mut changed = Vec::new();
+        let mut emitted = Vec::new();
         if let Some(l) = frag.local(*src) {
             dist[l as usize] = 0;
-            let work = dijkstra_from_seeds(frag, &mut dist, &[l], |_| 1, &mut changed);
+            let work = dijkstra_from_seeds(frag, &mut dist, &[l], |_| 1, &mut emitted);
             ctx.charge_work(work);
         }
-        for l in changed {
-            if emit_policy(frag, l) {
-                ctx.send(l, dist[l as usize]);
-            }
+        for l in emitted {
+            ctx.send(l, dist[l as usize]);
         }
         BfsState { dist }
     }
@@ -70,13 +68,11 @@ impl<V: Sync + Send, E: Sync + Send> PieProgram<V, E> for Bfs {
         if seeds.is_empty() {
             return;
         }
-        let mut changed = Vec::new();
-        let work = dijkstra_from_seeds(frag, &mut state.dist, &seeds, |_| 1, &mut changed);
+        let mut emitted = Vec::new();
+        let work = dijkstra_from_seeds(frag, &mut state.dist, &seeds, |_| 1, &mut emitted);
         ctx.charge_work(work);
-        for l in changed {
-            if emit_policy(frag, l) {
-                ctx.send(l, state.dist[l as usize]);
-            }
+        for l in emitted {
+            ctx.send(l, state.dist[l as usize]);
         }
     }
 

@@ -1,23 +1,22 @@
 //! Shared helpers for PIE programs.
 
 use aap_graph::{Fragment, LocalId};
-use std::sync::Arc;
+use std::borrow::Borrow;
 
 /// Gather a per-vertex quantity from the *owned* vertices of every fragment
-/// into one global vector (the usual shape of `Assemble`).
-pub fn gather_owned<V, E, S, T, F>(
-    frags: &[Arc<Fragment<V, E>>],
-    states: &[S],
-    default: T,
-    get: F,
-) -> Vec<T>
+/// into one global vector (the usual shape of `Assemble`). Takes the
+/// fragments however the caller holds them: `Arc<Fragment>` (the engines)
+/// or `&Fragment` (see [`owner_values`]).
+pub fn gather_owned<V, E, B, S, T, F>(frags: &[B], states: &[S], default: T, get: F) -> Vec<T>
 where
+    B: Borrow<Fragment<V, E>>,
     T: Clone,
     F: Fn(&S, &Fragment<V, E>, LocalId) -> T,
 {
-    let n: usize = frags.iter().map(|f| f.owned_count()).sum();
+    let n: usize = frags.iter().map(|f| f.borrow().owned_count()).sum();
     let mut out = vec![default; n];
     for (f, s) in frags.iter().zip(states) {
+        let f = f.borrow();
         for l in f.owned_vertices() {
             out[f.global(l) as usize] = get(s, f, l);
         }
@@ -40,22 +39,24 @@ where
     T: Clone,
     F: Fn(&S, &Fragment<V, E>, LocalId) -> T,
 {
-    let n: usize = frags.iter().map(|f| f.owned_count()).sum();
-    let mut out = vec![default; n];
-    for (f, s) in frags.iter().zip(states) {
-        for l in f.owned_vertices() {
-            out[f.global(l) as usize] = get(s, f, l);
-        }
-    }
-    out
+    gather_owned(frags, states, default, get)
 }
 
 /// Distance value used by SSSP/BFS: `u64::MAX` encodes `∞`.
 pub const INF: u64 = u64::MAX;
 
-/// Relax local shortest-path distances from a seed set via Dijkstra,
-/// recording every *border* vertex whose distance improved. Returns the
-/// work performed (heap pops + edges scanned) for cost accounting.
+/// Relax local shortest-path distances from a seed set via Dijkstra and
+/// report every *emitting copy* ([`emit_policy`]) that is a seed or whose
+/// distance improved: `emitted` ends up holding those local ids in
+/// ascending order, one per vertex (it is sorted and deduplicated as a
+/// whole, so pass it in empty). Returns the work performed (heap pops +
+/// edges scanned) for cost accounting.
+///
+/// The cost follows the change set, not `|Fi|`: nothing here is sized by
+/// `local_count`, the emission test is `O(1)`, and a vertex without local
+/// out-edges (an edge-cut mirror, a sink) never enters the heap — its
+/// would-be pop is still charged, so the returned work is what a kernel
+/// that heaps everything would report.
 ///
 /// `weight` extracts an edge length; mirrors carry no out-edges under
 /// edge-cut so relaxation stops at fragment boundaries, which is exactly
@@ -65,23 +66,23 @@ pub fn dijkstra_from_seeds<V, E>(
     dist: &mut [u64],
     seeds: &[LocalId],
     weight: impl Fn(&E) -> u64,
-    changed_border: &mut Vec<LocalId>,
+    emitted: &mut Vec<LocalId>,
 ) -> u64 {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut heap: BinaryHeap<Reverse<(u64, LocalId)>> = BinaryHeap::new();
+    // One unit per would-be heap pop: every seed here, every successful
+    // relaxation below; `deg(u)` more per pop that is not stale.
+    let mut work = seeds.len() as u64;
     for &s in seeds {
-        heap.push(Reverse((dist[s as usize], s)));
-    }
-    let mut changed: Vec<bool> = vec![false; dist.len()];
-    for &s in seeds {
-        if frag.is_border(s) {
-            changed[s as usize] = true;
+        if emit_policy(frag, s) {
+            emitted.push(s);
+        }
+        if !frag.neighbors(s).is_empty() {
+            heap.push(Reverse((dist[s as usize], s)));
         }
     }
-    let mut work: u64 = 0;
     while let Some(Reverse((d, u))) = heap.pop() {
-        work += 1;
         if d > dist[u as usize] {
             continue; // stale heap entry
         }
@@ -90,21 +91,26 @@ pub fn dijkstra_from_seeds<V, E>(
             let nd = d.saturating_add(weight(e));
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-                if frag.is_border(v) {
-                    changed[v as usize] = true;
+                work += 1;
+                if emit_policy(frag, v) {
+                    emitted.push(v);
+                }
+                if !frag.neighbors(v).is_empty() {
+                    heap.push(Reverse((nd, v)));
                 }
             }
         }
     }
-    changed_border
-        .extend(changed.iter().enumerate().filter(|&(_, &c)| c).map(|(l, _)| l as LocalId));
+    emitted.sort_unstable();
+    emitted.dedup();
     work
 }
 
-/// Decide which changed border vertices must be shipped: mirrors always
-/// (mirror → owner); owned border vertices only under vertex-cut partitions,
-/// where copies carry edges and need the owner's value broadcast back.
+/// Decide in `O(1)` whether a changed copy must be shipped: mirrors always
+/// (mirror → owner); owned vertices only under vertex-cut partitions, where
+/// copies carry edges and need the owner's value broadcast back, and only
+/// when some fragment holds a copy.
+#[inline]
 pub fn emit_policy<V, E>(frag: &Fragment<V, E>, l: LocalId) -> bool {
     if frag.is_owned(l) {
         frag.is_vertex_cut() && !frag.mirror_holders(l).is_empty()

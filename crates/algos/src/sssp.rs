@@ -12,7 +12,7 @@
 //! lengths, `min` contraction, monotone relaxation), so all asynchronous
 //! runs converge to the true distances (Theorem 2).
 
-use crate::common::{dijkstra_from_seeds, emit_policy, gather_owned, owner_values, INF};
+use crate::common::{dijkstra_from_seeds, gather_owned, owner_values, INF};
 use aap_core::pie::{DeltaChanges, Messages, PieProgram, UpdateCtx, WarmStart, WarmStrategy};
 use aap_core::PlanCache;
 use aap_graph::mutate::{stored_directed, DeltaSummary, StateRemap};
@@ -53,16 +53,14 @@ impl<V: Sync + Send> PieProgram<V, u32> for Sssp {
         ctx: &mut UpdateCtx<u64>,
     ) -> SsspState {
         let mut dist = vec![INF; frag.local_count()];
-        let mut changed = Vec::new();
+        let mut emitted = Vec::new();
         if let Some(l) = frag.local(*src) {
             dist[l as usize] = 0;
-            let work = dijkstra_from_seeds(frag, &mut dist, &[l], |&w| w as u64, &mut changed);
+            let work = dijkstra_from_seeds(frag, &mut dist, &[l], |&w| w as u64, &mut emitted);
             ctx.charge_work(work);
         }
-        for l in changed {
-            if emit_policy(frag, l) {
-                ctx.send(l, dist[l as usize]);
-            }
+        for l in emitted {
+            ctx.send(l, dist[l as usize]);
         }
         SsspState { dist }
     }
@@ -88,13 +86,11 @@ impl<V: Sync + Send> PieProgram<V, u32> for Sssp {
         if seeds.is_empty() {
             return;
         }
-        let mut changed = Vec::new();
-        let work = dijkstra_from_seeds(frag, &mut state.dist, &seeds, |&w| w as u64, &mut changed);
+        let mut emitted = Vec::new();
+        let work = dijkstra_from_seeds(frag, &mut state.dist, &seeds, |&w| w as u64, &mut emitted);
         ctx.charge_work(work);
-        for l in changed {
-            if emit_policy(frag, l) {
-                ctx.send(l, state.dist[l as usize]);
-            }
+        for l in emitted {
+            ctx.send(l, state.dist[l as usize]);
         }
     }
 
@@ -173,27 +169,16 @@ impl<V: Sync + Send> WarmStart<V, u32> for Sssp {
         if seedv.is_empty() {
             return SsspState { dist };
         }
-        let mut changed = Vec::new();
-        let work = dijkstra_from_seeds(frag, &mut dist, &seedv, |&w| w as u64, &mut changed);
+        let mut emitted = Vec::new();
+        let work = dijkstra_from_seeds(frag, &mut dist, &seedv, |&w| w as u64, &mut emitted);
         ctx.charge_work(work + seedv.len() as u64);
-        // Owned seed border vertices re-announce even when unchanged: a
-        // peer may hold a brand-new, uninitialised copy of them. Under
-        // edge-cut only owners face that — a surviving mirror's peer is
-        // its owner, whose copy is never fresh (owned ids persist), and
-        // a fresh mirror starts at `∞`, which is never shipped — so
-        // change-driven sends from the Dijkstra pass cover everything
-        // else and a deletion-only batch whose region re-derives its old
-        // values ships nothing redundant. Vertex-cut re-partitions can
-        // *move* ownership, so there every seed copy re-announces.
-        for &s in &seedv {
-            if (frag.is_owned(s) || frag.is_vertex_cut()) && frag.is_border(s) {
-                changed.push(s);
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        for l in changed {
-            if emit_policy(frag, l) && dist[l as usize] != INF {
+        // The kernel reports every emitting seed copy even when its value
+        // did not change, which is what a warm round needs: a peer may
+        // hold a brand-new, uninitialised copy of a seed. A copy still at
+        // `∞` (a fresh mirror, an unreachable region) carries no
+        // information and is never shipped.
+        for l in emitted {
+            if dist[l as usize] != INF {
                 ctx.send(l, dist[l as usize]);
             }
         }

@@ -737,6 +737,7 @@ where
                         scratch.give_msgs(msgs);
                         let dt = t0.elapsed().as_secs_f64();
                         let (effective, redundant) = ctx.effect_counts();
+                        let (work, sent) = (ctx.work(), ctx.len());
                         let (mut updates, local_work) = ctx.take();
                         if traced {
                             self.tracer.end(
@@ -746,7 +747,9 @@ where
                                 eval_name,
                                 Args::new()
                                     .with("effective", effective)
-                                    .with("redundant", redundant),
+                                    .with("redundant", redundant)
+                                    .with("work", work)
+                                    .with("sent", sent),
                             );
                             self.tracer.begin(
                                 pid::ENGINE,
@@ -1026,6 +1029,7 @@ where
             scratch.give_msgs(msgs);
             let dt = t0.elapsed().as_secs_f64();
             let (effective, redundant) = ctx.effect_counts();
+            let (work, sent) = (ctx.work(), ctx.len());
             let (mut updates, local_work) = ctx.take();
             if traced {
                 self.tracer.end(
@@ -1033,7 +1037,11 @@ where
                     w as u32,
                     cat::PHASE,
                     eval_name,
-                    Args::new().with("effective", effective).with("redundant", redundant),
+                    Args::new()
+                        .with("effective", effective)
+                        .with("redundant", redundant)
+                        .with("work", work)
+                        .with("sent", sent),
                 );
                 self.tracer.begin(pid::ENGINE, w as u32, cat::PHASE, "route", Args::new());
             }

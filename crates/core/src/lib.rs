@@ -58,16 +58,19 @@
 //! }
 //!
 //! fn propagate(f: &Fragment<(), u32>, lab: &mut [u32], mut work: Vec<u32>, ctx: &mut UpdateCtx<u32>) {
+//!     // Does an update to this copy ship anywhere? An O(1) routing-table
+//!     // lookup, cheap enough for the relaxation loop.
+//!     let ships = |l: u32| f.routing().fanout_len(l) > 0;
 //!     let mut changed_border = std::collections::BTreeSet::new();
 //!     while let Some(u) = work.pop() {
 //!         for &v in f.neighbors(u) {
 //!             if lab[u as usize] < lab[v as usize] {
 //!                 lab[v as usize] = lab[u as usize];
 //!                 work.push(v);
-//!                 if f.is_border(v) { changed_border.insert(v); }
+//!                 if ships(v) { changed_border.insert(v); }
 //!             }
 //!         }
-//!         if f.is_border(u) { changed_border.insert(u); }
+//!         if ships(u) { changed_border.insert(u); }
 //!     }
 //!     for b in changed_border { ctx.send(b, lab[b as usize]); }
 //! }

@@ -528,6 +528,11 @@ impl<V, E> Fragment<V, E> {
 
     /// True if the vertex is a border node in the sense of §2 (has an
     /// adjacent cross edge or a copy in another fragment).
+    ///
+    /// O(log |Fi|) for owned vertices (two binary searches over
+    /// `inner_in`/`inner_out`); not for inner loops. To ask "does an update
+    /// to `l` ship anywhere?" per relaxation, use the O(1)
+    /// `self.routing().fanout_len(l) > 0`.
     #[inline]
     pub fn is_border(&self, l: LocalId) -> bool {
         if self.is_owned(l) {

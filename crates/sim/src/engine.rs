@@ -795,7 +795,14 @@ impl<V, E> SimEngine<V, E> {
         wk.stats.compute_time += cost;
         wk.round_started = t;
         wk.wstate = WState::Computing;
-        wk.timeline.spans.push(Span { start: t, end: t + cost, round, kind: SpanKind::Compute });
+        wk.timeline.spans.push(Span {
+            start: t,
+            end: t + cost,
+            round,
+            work: charged,
+            sent: emitted as u64,
+            kind: SpanKind::Compute,
+        });
         cost
     }
 }
@@ -879,6 +886,8 @@ fn end_suspend<Val, St>(wk: &mut SimWorker<Val, St>, now: f64) {
                 start: s,
                 end: now,
                 round: wk.rounds,
+                work: 0,
+                sent: 0,
                 kind: SpanKind::Suspend,
             });
         }

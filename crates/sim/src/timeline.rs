@@ -22,6 +22,12 @@ pub struct Span {
     pub end: f64,
     /// The round being executed (for `Compute` spans).
     pub round: u32,
+    /// Work units the round's PEval/IncEval charged (`UpdateCtx::work`;
+    /// 0 for `Suspend` spans).
+    pub work: u64,
+    /// Updates the round's PEval/IncEval sent (`UpdateCtx::len`; 0 for
+    /// `Suspend` spans).
+    pub sent: u64,
     /// Activity kind.
     pub kind: SpanKind,
 }
@@ -98,10 +104,13 @@ pub const TRACE_US_PER_UNIT: f64 = 1000.0;
 /// microseconds — [`TRACE_US_PER_UNIT`] per unit).
 ///
 /// Compute spans become `round`-category spans carrying the round
-/// number; policy suspensions become `policy`-category spans. Feed the
-/// result to [`aap_trace::chrome_trace_json`] — or into an enabled
-/// [`aap_trace::Tracer`] via `emit` to merge with wall-clock tracks —
-/// and the simulated schedule opens in Perfetto next to real runs.
+/// number and, on their end event, the kernel `work` charged and the
+/// updates `sent` — the same args the threaded engine puts on its
+/// `eval0`/`inceval` spans; policy suspensions become `policy`-category
+/// spans. Feed the result to [`aap_trace::chrome_trace_json`] — or into
+/// an enabled [`aap_trace::Tracer`] via `emit` to merge with wall-clock
+/// tracks — and the simulated schedule opens in Perfetto next to real
+/// runs.
 pub fn timeline_to_trace(timelines: &[Timeline]) -> Vec<TraceEvent> {
     let mut out = Vec::with_capacity(2 * timelines.iter().map(|t| t.spans.len()).sum::<usize>());
     for (w, t) in timelines.iter().enumerate() {
@@ -128,7 +137,13 @@ pub fn timeline_to_trace(timelines: &[Timeline]) -> Vec<TraceEvent> {
                 ts_us: ts1,
                 pid: pid::SIM,
                 tid: w as u32,
-                args: Args::new().with("virt_end", s.end),
+                args: match s.kind {
+                    SpanKind::Compute => Args::new()
+                        .with("virt_end", s.end)
+                        .with("work", s.work)
+                        .with("sent", s.sent),
+                    SpanKind::Suspend => Args::new().with("virt_end", s.end),
+                },
             });
         }
     }
@@ -139,19 +154,21 @@ pub fn timeline_to_trace(timelines: &[Timeline]) -> Vec<TraceEvent> {
 mod tests {
     use super::*;
 
+    fn span(start: f64, end: f64, round: u32, kind: SpanKind) -> Span {
+        Span { start, end, round, work: 7, sent: 2, kind }
+    }
+
     #[test]
     fn gantt_renders_rows() {
         let t = vec![
             Timeline {
                 spans: vec![
-                    Span { start: 0.0, end: 3.0, round: 0, kind: SpanKind::Compute },
-                    Span { start: 3.0, end: 4.0, round: 0, kind: SpanKind::Suspend },
-                    Span { start: 4.0, end: 7.0, round: 1, kind: SpanKind::Compute },
+                    span(0.0, 3.0, 0, SpanKind::Compute),
+                    span(3.0, 4.0, 0, SpanKind::Suspend),
+                    span(4.0, 7.0, 1, SpanKind::Compute),
                 ],
             },
-            Timeline {
-                spans: vec![Span { start: 0.0, end: 6.0, round: 0, kind: SpanKind::Compute }],
-            },
+            Timeline { spans: vec![span(0.0, 6.0, 0, SpanKind::Compute)] },
         ];
         let s = render_gantt(&t, 40);
         assert_eq!(s.lines().count(), 3);
@@ -176,9 +193,7 @@ mod tests {
     #[test]
     fn gantt_handles_zero_width() {
         // Degenerate width must not underflow or panic the span clamp.
-        let t = vec![Timeline {
-            spans: vec![Span { start: 0.0, end: 3.0, round: 0, kind: SpanKind::Compute }],
-        }];
+        let t = vec![Timeline { spans: vec![span(0.0, 3.0, 0, SpanKind::Compute)] }];
         let s = render_gantt(&t, 0);
         assert_eq!(s.lines().count(), 2);
         assert!(!s.contains('#'), "no cells to paint at width 0");
@@ -192,14 +207,12 @@ mod tests {
         let t = vec![
             Timeline {
                 spans: vec![
-                    Span { start: 0.0, end: 3.0, round: 0, kind: SpanKind::Compute },
-                    Span { start: 3.0, end: 4.5, round: 0, kind: SpanKind::Suspend },
-                    Span { start: 4.5, end: 7.0, round: 1, kind: SpanKind::Compute },
+                    span(0.0, 3.0, 0, SpanKind::Compute),
+                    span(3.0, 4.5, 0, SpanKind::Suspend),
+                    span(4.5, 7.0, 1, SpanKind::Compute),
                 ],
             },
-            Timeline {
-                spans: vec![Span { start: 0.0, end: 6.0, round: 0, kind: SpanKind::Compute }],
-            },
+            Timeline { spans: vec![span(0.0, 6.0, 0, SpanKind::Compute)] },
         ];
         let evs = timeline_to_trace(&t);
         assert_eq!(evs.len(), 8, "one B and one E per span");
@@ -224,6 +237,10 @@ mod tests {
         assert_eq!(evs[1].ts_us, 3_000, "end of [0,3) at 1000 µs per unit");
         assert_eq!(evs[2].name, "suspend");
         assert_eq!(evs[4].args.get("round"), Some(ArgVal::Uint(1)));
+        // Compute end events carry the round's kernel work and send count.
+        assert_eq!(evs[1].args.get("work"), Some(ArgVal::Uint(7)));
+        assert_eq!(evs[1].args.get("sent"), Some(ArgVal::Uint(2)));
+        assert_eq!(evs[3].args.get("work"), None, "suspend spans do no work");
         assert_eq!(timeline_to_trace(&[]).len(), 0);
     }
 
@@ -231,9 +248,9 @@ mod tests {
     fn compute_time_sums_spans() {
         let t = Timeline {
             spans: vec![
-                Span { start: 0.0, end: 3.0, round: 0, kind: SpanKind::Compute },
-                Span { start: 5.0, end: 6.0, round: 1, kind: SpanKind::Compute },
-                Span { start: 3.0, end: 5.0, round: 0, kind: SpanKind::Suspend },
+                span(0.0, 3.0, 0, SpanKind::Compute),
+                span(5.0, 6.0, 1, SpanKind::Compute),
+                span(3.0, 5.0, 0, SpanKind::Suspend),
             ],
         };
         assert!((t.compute_time() - 4.0).abs() < 1e-12);

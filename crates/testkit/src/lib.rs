@@ -3,7 +3,8 @@
 //! Shared scaffolding for the equivalence suites (`tests/delta_equiv.rs`,
 //! `tests/snapshot_equiv.rs`, `tests/routing_equiv.rs`,
 //! `tests/deletion_equiv.rs`): random-graph and random-delta strategies,
-//! the execution-mode matrix, partition-kind helpers, and one
+//! the execution-mode matrix, partition-kind helpers, the reference
+//! shortest-path kernel (`tests/kernel_equiv.rs`), and one
 //! [`assert_equiv`] driver that proves
 //! `run_incremental(delta stream, retained state)` ==
 //! `cold run on the final graph` for any warm-startable program, across
@@ -20,7 +21,7 @@ use aap_graph::mutate::EditBuffers;
 use aap_graph::partition::{
     build_fragments_n, build_fragments_vertex_cut_n, hash_partition, vertex_cut_partition,
 };
-use aap_graph::{generate, Fragment, Graph};
+use aap_graph::{generate, Fragment, Graph, LocalId};
 use aap_session::{edge_cut, vertex_cut, DurabilityPolicy, Session, SessionError};
 use aap_sim::{ScheduleFuzz, SimEngine, SimOpts};
 use aap_snapshot::{
@@ -103,6 +104,59 @@ pub fn build_parts(g: &Graph<(), u32>, kind: PartitionKind, m: usize) -> Vec<Fra
         PartitionKind::EdgeCut => build_fragments_n(g, &hash_partition(g, m), m),
         PartitionKind::VertexCut => build_fragments_vertex_cut_n(g, &vertex_cut_partition(g, m), m),
     }
+}
+
+// ---------------------------------------------------------------------
+// The reference shortest-path kernel
+// ---------------------------------------------------------------------
+
+/// The straightforward relaxation kernel that
+/// `aap_algos::common::dijkstra_from_seeds` replaced, kept as the oracle
+/// of `tests/kernel_equiv.rs`: every seed and every improved vertex goes
+/// through the heap, border vertices (`Fragment::is_border`) are marked
+/// in a `|Fi|`-sized bitmap, and the marked ids are appended to
+/// `changed_border` in ascending order — the caller still filters them
+/// with `emit_policy`. Returns heap pops + edges scanned.
+pub fn reference_dijkstra_from_seeds<V, E>(
+    frag: &Fragment<V, E>,
+    dist: &mut [u64],
+    seeds: &[LocalId],
+    weight: impl Fn(&E) -> u64,
+    changed_border: &mut Vec<LocalId>,
+) -> u64 {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut heap: BinaryHeap<Reverse<(u64, LocalId)>> = BinaryHeap::new();
+    for &s in seeds {
+        heap.push(Reverse((dist[s as usize], s)));
+    }
+    let mut changed: Vec<bool> = vec![false; dist.len()];
+    for &s in seeds {
+        if frag.is_border(s) {
+            changed[s as usize] = true;
+        }
+    }
+    let mut work: u64 = 0;
+    while let Some(Reverse((d, u))) = heap.pop() {
+        work += 1;
+        if d > dist[u as usize] {
+            continue; // stale heap entry
+        }
+        work += frag.neighbors(u).len() as u64;
+        for (v, e) in frag.edges(u) {
+            let nd = d.saturating_add(weight(e));
+            if nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                heap.push(Reverse((nd, v)));
+                if frag.is_border(v) {
+                    changed[v as usize] = true;
+                }
+            }
+        }
+    }
+    changed_border
+        .extend(changed.iter().enumerate().filter(|&(_, &c)| c).map(|(l, _)| l as LocalId));
+    work
 }
 
 // ---------------------------------------------------------------------

@@ -4,8 +4,8 @@
 //! same, small number of heap allocations (the returned [`AppliedEdit`]
 //! vectors and nothing else on the weight-only fast path), because the
 //! scratch sets live in the pooled [`EditBuffers`] and retain their
-//! capacity across batches. Mirrors the counting-allocator pattern of
-//! `tests/alloc_routing.rs`.
+//! capacity across batches. Counts with the per-thread allocator of
+//! `tests/common`.
 //!
 //! [`AppliedEdit`]: grape_aap::graph::mutate::AppliedEdit
 
@@ -13,33 +13,9 @@ use grape_aap::graph::mutate::{apply_partition_edit, EditBuffers, FragmentEdit, 
 use grape_aap::graph::partition::{build_fragments_n, hash_partition};
 use grape_aap::graph::{generate, Fragment, FxHashMap, FxHashSet};
 use grape_aap::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+mod common;
+use common::allocs;
 
 const M: usize = 4;
 
@@ -94,15 +70,15 @@ fn weight_only_stream_reaches_a_small_constant_allocation_per_batch() {
     for round in 0..8 {
         run_batch(&mut bufs, round);
     }
-    let a = ALLOCS.load(Ordering::Relaxed);
+    let a = allocs();
     for round in 8..24 {
         run_batch(&mut bufs, round);
     }
-    let b = ALLOCS.load(Ordering::Relaxed);
+    let b = allocs();
     for round in 24..40 {
         run_batch(&mut bufs, round);
     }
-    let c = ALLOCS.load(Ordering::Relaxed);
+    let c = allocs();
 
     assert_eq!(b - a, c - b, "steady-state windows must allocate identically");
     let per_batch = (b - a) / 16;
@@ -153,24 +129,24 @@ fn structural_stream_retains_scratch_capacity_across_batches() {
     for round in 0..8 {
         run_batch(&mut bufs, round);
     }
-    let a = ALLOCS.load(Ordering::Relaxed);
+    let a = allocs();
     for round in 8..24 {
         run_batch(&mut bufs, round);
     }
-    let b = ALLOCS.load(Ordering::Relaxed);
+    let b = allocs();
     for round in 24..40 {
         run_batch(&mut bufs, round);
     }
-    let c = ALLOCS.load(Ordering::Relaxed);
+    let c = allocs();
     assert_eq!(b - a, c - b, "steady-state structural windows must allocate identically");
 
     // Throwaway buffers: same batches, fresh scratch every round.
-    let d = ALLOCS.load(Ordering::Relaxed);
+    let d = allocs();
     for round in 8..24 {
         let mut fresh = EditBuffers::default();
         run_batch(&mut fresh, round);
     }
-    let e = ALLOCS.load(Ordering::Relaxed);
+    let e = allocs();
     assert!(
         e - d > b - a,
         "throwaway EditBuffers ({}) should out-allocate the pooled stream ({})",

@@ -10,34 +10,10 @@ use grape_aap::prelude::*;
 use grape_aap::runtime::inbox::Inbox;
 use grape_aap::runtime::pie::route_updates_into;
 use grape_aap::runtime::Scratch;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+mod common;
+use common::allocs;
 
 struct MinProg;
 
@@ -128,11 +104,11 @@ fn steady_state_route_and_drain_allocate_nothing() {
     }
 
     let grow_before: u64 = scratches.iter().map(|s| s.grow_events()).sum();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     for round in 8..64 {
         one_round(round, &mut scratches, &mut inboxes, &mut updates, &mut outs);
     }
-    let allocs_after = ALLOCS.load(Ordering::Relaxed);
+    let allocs_after = allocs();
     let grow_after: u64 = scratches.iter().map(|s| s.grow_events()).sum();
 
     assert_eq!(allocs_after - allocs_before, 0, "steady-state routing/drain hit the allocator");
@@ -194,11 +170,11 @@ fn one_way_traffic_allocates_nothing_via_shared_pool() {
     for round in 0..8 {
         one_round(round, &mut scratches, &mut inbox1, &mut updates, &mut out);
     }
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     for round in 8..64 {
         one_round(round, &mut scratches, &mut inbox1, &mut updates, &mut out);
     }
-    let allocs_after = ALLOCS.load(Ordering::Relaxed);
+    let allocs_after = allocs();
     assert_eq!(
         allocs_after - allocs_before,
         0,

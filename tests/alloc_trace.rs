@@ -14,50 +14,16 @@ use grape_aap::runtime::inbox::Inbox;
 use grape_aap::runtime::pie::route_updates_into;
 use grape_aap::runtime::Scratch;
 use grape_aap::trace::{cat, pid, Args, TraceSink};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct CountingAlloc;
+mod common;
+use common::allocs;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Run `body` up to three times and return the smallest allocation
-/// count any window observed. The counter is process-global, so a
-/// concurrently running test (or the harness's own output buffering)
-/// can bleed a stray allocation into one window; a genuine regression
-/// allocates in **every** window — typically once per call, not twice
-/// per quarter-million.
-fn min_allocs_over_windows(mut body: impl FnMut()) -> u64 {
-    (0..3)
-        .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
-            body();
-            ALLOCS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .expect("three windows")
+/// Allocations the calling thread makes while `body` runs.
+fn allocs_during(body: impl FnOnce()) -> u64 {
+    let before = allocs();
+    body();
+    allocs() - before
 }
 
 struct MinProg;
@@ -164,7 +130,7 @@ fn disabled_tracer_adds_zero_allocations_to_steady_rounds() {
         one_round(round);
         round += 1;
     }
-    let allocs = min_allocs_over_windows(|| {
+    let allocs = allocs_during(|| {
         for _ in 0..56 {
             one_round(round);
             round += 1;
@@ -176,7 +142,7 @@ fn disabled_tracer_adds_zero_allocations_to_steady_rounds() {
 #[test]
 fn a_million_disabled_calls_allocate_nothing() {
     let tracer = Tracer::default();
-    let allocs = min_allocs_over_windows(|| {
+    let allocs = allocs_during(|| {
         for i in 0..250_000u32 {
             round_trace_calls(&tracer, i % 4, i, 2);
         }
@@ -208,11 +174,11 @@ fn recorder_memory_is_capped_and_wrap_is_allocation_free() {
 
     // Stream an order of magnitude more: memory must stay capped and the
     // full ring must never touch the allocator again.
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     for t in CAP..TOTAL {
         rec.event(&grape_aap::trace::TraceEvent { ts_us: t as u64, ..ev });
     }
-    let allocs_after = ALLOCS.load(Ordering::Relaxed);
+    let allocs_after = allocs();
     assert_eq!(allocs_after - allocs_before, 0, "a wrapped recorder allocated");
     assert_eq!(rec.len(), CAP, "ring exceeded its capacity");
     assert_eq!(rec.dropped(), (TOTAL - CAP) as u64);
@@ -240,7 +206,7 @@ fn enabled_tracer_into_wrapped_recorder_allocates_nothing() {
     }
     assert!(rec.dropped() > 0, "window must have wrapped before measuring");
 
-    let allocs = min_allocs_over_windows(|| {
+    let allocs = allocs_during(|| {
         for i in 512..4_096u32 {
             round_trace_calls(&tracer, i % 4, i, 2);
         }

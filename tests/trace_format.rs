@@ -89,6 +89,55 @@ fn sim_backend_capture_is_well_formed_across_consecutive_runs() {
     assert!(check.counters > 0, "session counter tracks missing");
 }
 
+/// Per-call kernel work is readable off the existing eval span: on both
+/// engines (and both threaded paths) every `eval0`/`inceval` — for the
+/// simulator, `compute` — end event carries the `work` the call charged
+/// and the updates it `sent`, and under edge-cut (fan-out 1 per mirror)
+/// the `sent` args add up to the run's shipped updates.
+#[test]
+fn eval_spans_carry_kernel_work_and_send_counts() {
+    use grape_aap::graph::partition::{build_fragments, hash_partition};
+    use grape_aap::trace::{ArgVal, Phase};
+
+    let g = grape_aap::graph::generate::rmat(9, 8, true, 5);
+    let frags = build_fragments(&g, &hash_partition(&g, 4));
+    let totals = |rec: &Recorder, names: &[&str]| -> (u64, u64) {
+        let (mut work, mut sent) = (0, 0);
+        for e in rec.events().iter().filter(|e| e.ph == Phase::End && names.contains(&e.name)) {
+            let (Some(ArgVal::Uint(w)), Some(ArgVal::Uint(s))) =
+                (e.args.get("work"), e.args.get("sent"))
+            else {
+                panic!("{} end event without work/sent: {:?}", e.name, e.args);
+            };
+            work += w;
+            sent += s;
+        }
+        (work, sent)
+    };
+
+    for mode in [Mode::Bsp, Mode::aap()] {
+        let rec = Arc::new(Recorder::with_capacity(1 << 16));
+        let opts = EngineOpts { threads: 4, mode: mode.clone(), max_rounds: Some(100_000) };
+        let mut engine = Engine::new(frags.clone(), opts);
+        engine.set_tracer(Tracer::new(Arc::clone(&rec)));
+        let run = engine.run(&Sssp, &0);
+        assert_eq!(rec.dropped(), 0, "recorder window too small");
+        let (work, sent) = totals(&rec, &["eval0", "inceval"]);
+        assert!(work > 0, "{mode:?}: SSSP charges kernel work");
+        assert_eq!(sent, run.stats.total_updates(), "{mode:?}");
+
+        let rec = Arc::new(Recorder::with_capacity(1 << 16));
+        let mut sim = SimEngine::new(frags.clone(), SimOpts { mode, ..SimOpts::default() })
+            .expect("valid sim options");
+        sim.set_tracer(Tracer::new(Arc::clone(&rec)));
+        let run = sim.run(&Sssp, &0);
+        assert_eq!(rec.dropped(), 0, "recorder window too small");
+        let (work, sent) = totals(&rec, &["compute"]);
+        assert!(work > 0);
+        assert_eq!(sent, run.stats.total_updates());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(6), ..ProptestConfig::default() })]
 
