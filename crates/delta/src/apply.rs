@@ -117,10 +117,17 @@ where
 /// Both cut kinds are patched locally: only fragments named by the delta
 /// (or linked to them through mirrors/holders/copies) are touched; dense
 /// routing tables are rebuilt for exactly the affected destinations (see
-/// `aap_graph::mutate`). Vertex-cut batches route each edge op to its
+/// `aap_graph::mutate`). An edge-cut batch rewrites each touched
+/// fragment with one local-id splice: the batch's ops are sorted
+/// (`O(k log k)` in the batch size `k`), the old CSR streams into the new
+/// one with inserts, removals and overwrites merged on the edited rows
+/// only, and targets map through a dense old→new local table —
+/// `O(|Fi|)` sequential array copy per touched fragment, no hashing or
+/// sorting per retained edge. Rows stay ordered by target global id;
+/// retained parallel `(u, v)` copies keep their order and inserted copies
+/// follow in batch order. Vertex-cut batches route each edge op to its
 /// canonical pair-hash fragment and repack just the holders of affected
-/// vertices (`patch_vertex_cut`) — the old reassemble + re-partition
-/// fallback is gone.
+/// vertices (`patch_vertex_cut`).
 ///
 /// New vertices are owned by `hash(id) % m`, consistent with
 /// [`aap_graph::partition::hash_partition`].
@@ -136,7 +143,8 @@ where
 }
 
 /// [`apply_to_fragments`] with caller-owned pooled buffers, for streaming
-/// many batches without re-allocating the transient lookup structures.
+/// many batches without re-allocating the splice's scratch (sorted op
+/// list, per-local marks).
 pub fn apply_to_fragments_with<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     delta: &GraphDelta<V, E>,
@@ -146,18 +154,16 @@ where
     V: Clone,
     E: Clone + PartialOrd,
 {
-    let m = frags.len();
-    assert!(m > 0, "cannot apply a delta to an empty fragment set");
-    if frags[0].is_vertex_cut() {
-        apply_vertex_cut(frags, delta, &Tracer::default())
-    } else {
-        apply_edge_cut(frags, delta, bufs, &Tracer::default())
-    }
+    let tracer = Tracer::default();
+    apply_traced(frags, delta, 1, &tracer, |frags, edit| {
+        apply_partition_edit_traced(frags, edit, bufs, &tracer)
+    })
 }
 
-/// [`apply_to_fragments_with`], fanning the per-touched-fragment CSR
-/// repacks out over up to `threads` scoped worker threads. Byte-identical
-/// to the serial path (see
+/// [`apply_to_fragments_with`], fanning the per-fragment splices, holder
+/// updates and routing rebuilds out over up to `threads` scoped worker
+/// threads (each phase over as many as it has work items). Byte-identical
+/// at every thread count (see
 /// [`aap_graph::mutate::apply_partition_edit_threads`], pinned by the
 /// mutate proptests); edge-cut only — the vertex-cut patch is serial
 /// regardless of `threads` (its batches touch few fragments).
@@ -175,10 +181,11 @@ where
 }
 
 /// [`apply_to_fragments_par`] with structured tracing: the whole apply
-/// runs under an `apply_delta` span on the delta track, the edit
-/// resolution gets its own `resolve_edit` phase span, and every
-/// repacked fragment emits a `repack` span (tid = fragment id) from the
-/// graph layer. The untraced entry point delegates here with a disabled
+/// runs under an `apply_delta` span on the delta track, whose children
+/// are the `resolve_edit` phase span, one `repack` span per changed
+/// fragment (tid = fragment id, covering its whole splice) and the
+/// `routing` span of the table rebuilds, the last two from the graph
+/// layer. The untraced entry point delegates here with a disabled
 /// tracer.
 pub fn apply_to_fragments_par_traced<V, E>(
     frags: &mut [&mut Fragment<V, E>],
@@ -191,40 +198,55 @@ where
     V: Clone + Send + Sync,
     E: Clone + PartialOrd + Send + Sync,
 {
-    let m = frags.len();
-    assert!(m > 0, "cannot apply a delta to an empty fragment set");
-    if frags[0].is_vertex_cut() {
-        apply_vertex_cut(frags, delta, tracer)
-    } else if threads <= 1 {
-        apply_edge_cut(frags, delta, bufs, tracer)
-    } else {
-        let traced = tracer.enabled();
-        if traced {
-            tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", delta_args(delta, threads));
-        }
-        let edit = {
-            if traced {
-                tracer.begin(pid::DELTA, 0, cat::APPLY, "resolve_edit", Args::new());
-            }
-            let edit = resolve_edge_cut_edit(frags, delta);
-            if traced {
-                let touched = edit.touched.iter().filter(|&&t| t).count();
-                tracer.end(
-                    pid::DELTA,
-                    0,
-                    cat::APPLY,
-                    "resolve_edit",
-                    Args::new().with("touched", touched),
-                );
-            }
-            edit
-        };
-        let applied = apply_partition_edit_threads_traced(frags, &edit, bufs, threads, tracer);
-        if traced {
-            tracer.end(pid::DELTA, 0, cat::APPLY, "apply_delta", Args::new());
-        }
-        finish_edge_cut(delta, applied)
+    apply_traced(frags, delta, threads.max(1), tracer, |frags, edit| {
+        apply_partition_edit_threads_traced(frags, edit, bufs, threads, tracer)
+    })
+}
+
+/// The body of every entry point above: resolve the delta against the
+/// partition and patch in place, `edge_cut` being the caller's choice of
+/// graph-layer driver (on the calling thread, or over `threads`).
+fn apply_traced<V, E>(
+    frags: &mut [&mut Fragment<V, E>],
+    delta: &GraphDelta<V, E>,
+    threads: usize,
+    tracer: &Tracer,
+    edge_cut: impl FnOnce(&mut [&mut Fragment<V, E>], &PartitionEdit<V, E>) -> AppliedEdit,
+) -> Applied
+where
+    V: Clone,
+    E: Clone + PartialOrd,
+{
+    assert!(!frags.is_empty(), "cannot apply a delta to an empty fragment set");
+    let vertex_cut = frags[0].is_vertex_cut();
+    let traced = tracer.enabled();
+    if traced {
+        let threads = if vertex_cut { 1 } else { threads };
+        tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", delta_args(delta, threads));
+        tracer.begin(pid::DELTA, 0, cat::APPLY, "resolve_edit", Args::new());
     }
+    let end_resolve = |touched: usize| {
+        if traced {
+            let args = Args::new().with("touched", touched);
+            tracer.end(pid::DELTA, 0, cat::APPLY, "resolve_edit", args);
+        }
+    };
+    let applied = if vertex_cut {
+        let edit = resolve_vertex_cut_edit(frags, delta);
+        end_resolve(edit.frags.iter().filter(|fe| !fe.is_empty()).count());
+        patch_vertex_cut_traced(frags, &edit, tracer)
+    } else {
+        let edit = resolve_edge_cut_edit(frags, delta);
+        end_resolve(edit.touched.iter().filter(|&&t| t).count());
+        edge_cut(frags, &edit)
+    };
+    if traced {
+        tracer.end(pid::DELTA, 0, cat::APPLY, "apply_delta", Args::new());
+    }
+    let mut summary = delta.summary();
+    summary.weights_decreased = applied.weights_decreased;
+    summary.weights_increased = applied.weights_increased;
+    Applied { summary, remaps: applied.remaps, seeds: applied.seeds, changed: applied.changed }
 }
 
 /// Batch-shape args for the `apply_delta` span.
@@ -235,28 +257,6 @@ fn delta_args<V, E>(delta: &GraphDelta<V, E>, threads: usize) -> Args {
         .with("edges_removed", s.edges_removed)
         .with("weight_updates", delta.weight_updates().len())
         .with("threads", threads)
-}
-
-fn apply_edge_cut<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    delta: &GraphDelta<V, E>,
-    bufs: &mut EditBuffers,
-    tracer: &Tracer,
-) -> Applied
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    let traced = tracer.enabled();
-    if traced {
-        tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", delta_args(delta, 1));
-    }
-    let edit = resolve_edge_cut_edit(frags, delta);
-    let applied = apply_partition_edit_traced(frags, &edit, bufs, tracer);
-    if traced {
-        tracer.end(pid::DELTA, 0, cat::APPLY, "apply_delta", Args::new());
-    }
-    finish_edge_cut(delta, applied)
 }
 
 /// Resolve a delta against an edge-cut partition into a
@@ -357,56 +357,6 @@ where
     }
 
     edit
-}
-
-/// Fold the graph-layer [`AppliedEdit`] back into the delta-level
-/// [`Applied`] report.
-fn finish_edge_cut<V, E>(delta: &GraphDelta<V, E>, applied: AppliedEdit) -> Applied {
-    let mut summary = delta.summary();
-    summary.weights_decreased = applied.weights_decreased;
-    summary.weights_increased = applied.weights_increased;
-    Applied { summary, remaps: applied.remaps, seeds: applied.seeds, changed: applied.changed }
-}
-
-/// Vertex-cut path: route each stored-edge op to its canonical pair-hash
-/// fragment and patch only the holders of affected vertices in place
-/// (`aap_graph::mutate::patch_vertex_cut`) — at parity with the edge-cut
-/// path, touched-fragment-proportional, no reassembly.
-fn apply_vertex_cut<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    delta: &GraphDelta<V, E>,
-    tracer: &Tracer,
-) -> Applied
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    let traced = tracer.enabled();
-    if traced {
-        tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", delta_args(delta, 1));
-    }
-    let edit = {
-        if traced {
-            tracer.begin(pid::DELTA, 0, cat::APPLY, "resolve_edit", Args::new());
-        }
-        let edit = resolve_vertex_cut_edit(frags, delta);
-        if traced {
-            let touched = edit.frags.iter().filter(|fe| !fe.is_empty()).count();
-            tracer.end(
-                pid::DELTA,
-                0,
-                cat::APPLY,
-                "resolve_edit",
-                Args::new().with("touched", touched),
-            );
-        }
-        edit
-    };
-    let applied = patch_vertex_cut_traced(frags, &edit, tracer);
-    if traced {
-        tracer.end(pid::DELTA, 0, cat::APPLY, "apply_delta", Args::new());
-    }
-    finish_edge_cut(delta, applied)
 }
 
 /// Resolve a delta against a vertex-cut partition into a

@@ -233,14 +233,16 @@ impl<V, E> Fragment<V, E> {
         .unwrap_or_else(|e| panic!("inconsistent fragment parts: {e}"))
     }
 
-    /// Fallible form of [`Fragment::from_saved_parts`] — the single home
-    /// of the per-fragment validity checks, so deserializers turn bad
-    /// input into a tagged error instead of a panic and cannot drift
-    /// from the constructor's invariants.
+    /// Fallible form of [`Fragment::from_saved_parts`]: the array shapes
+    /// are checked here, everything else by
+    /// [`Fragment::check_invariants`] — the single home of the
+    /// per-fragment validity checks, so deserializers turn bad input
+    /// into a tagged error instead of a panic and cannot drift from
+    /// what the in-place mutations are held to.
     ///
     /// # Errors
     /// Describes the first inconsistency found: wrong array lengths,
-    /// unsorted border sets, out-of-range local ids or fragment ids.
+    /// then whatever [`Fragment::check_invariants`] reports.
     #[allow(clippy::too_many_arguments)]
     pub fn try_from_saved_parts(
         id: FragId,
@@ -263,49 +265,11 @@ impl<V, E> Fragment<V, E> {
                 Err(format!("fragment {id}: {what}"))
             }
         };
-        check((id as usize) < num_frags as usize, "fragment id out of range")?;
         check(graph.num_vertices() == n, "local graph must cover all locals")?;
         check(owned <= n, "owned count exceeds local count")?;
-        // The local-id layout invariant: owned globals strictly sorted,
-        // then mirror globals strictly sorted, with no id in both. A
-        // duplicate would collapse the g2l map (last wins) and silently
-        // misroute messages; an unsorted list breaks the mirror-diff
-        // walks in `mutate`.
-        check(globals[..owned].windows(2).all(|w| w[0] < w[1]), "owned globals sorted unique")?;
-        check(globals[owned..].windows(2).all(|w| w[0] < w[1]), "mirror globals sorted unique")?;
-        {
-            let (mut i, mut j) = (0, owned);
-            while i < owned && j < n {
-                match globals[i].cmp(&globals[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        return Err(format!(
-                            "fragment {id}: vertex {} is both owned and a mirror",
-                            globals[i]
-                        ))
-                    }
-                }
-            }
-        }
         check(mirror_owner.len() == n - owned, "one owner per mirror")?;
-        check(
-            mirror_owner.iter().all(|&f| (f as usize) < num_frags as usize),
-            "mirror owner out of range",
-        )?;
         check(holder_offsets.len() == owned + 1, "holder CSR over owned locals")?;
-        check(holder_offsets.first().copied().unwrap_or(0) == 0, "holder offsets start at 0")?;
-        check(holder_offsets.windows(2).all(|w| w[0] <= w[1]), "holder offsets monotone")?;
-        check(
-            *holder_offsets.last().unwrap_or(&0) as usize == holders.len(),
-            "holder offsets end at holder count",
-        )?;
-        check(holders.iter().all(|&f| (f as usize) < num_frags as usize), "holder out of range")?;
-        for set in [&inner_in, &inner_out] {
-            check(set.windows(2).all(|w| w[0] < w[1]), "border sets sorted unique")?;
-            check(set.iter().all(|&l| (l as usize) < owned), "border sets are owned locals")?;
-        }
-        Ok(Fragment::from_parts(
+        let frag = Fragment::from_parts(
             id,
             num_frags,
             vertex_cut,
@@ -317,7 +281,113 @@ impl<V, E> Fragment<V, E> {
             mirror_owner,
             holder_offsets,
             holders,
-        ))
+        );
+        frag.check_invariants()?;
+        Ok(frag)
+    }
+
+    /// Check every structural invariant a fragment must uphold on its
+    /// own (cross-fragment coherence — holders really holding a copy,
+    /// routing tables matching the peers — needs the whole partition).
+    /// Snapshot loaders run it on untrusted bytes; debug builds run it
+    /// after every in-place mutation ([`crate::mutate`]).
+    ///
+    /// # Errors
+    /// Describes the first violation found:
+    ///
+    /// * the local CSR is malformed (offsets not monotone from 0 to the
+    ///   edge count, a target out of range), or an edge-cut mirror
+    ///   carries a row;
+    /// * the owned or the mirror run of `globals` is not strictly
+    ///   ascending, a vertex is in both, or `local(global(l)) != l`;
+    /// * a mirror owner or a holder is out of range or names this
+    ///   fragment, or a holder list is not strictly ascending;
+    /// * `Fi.I` is not exactly the owned vertices with a holder, or
+    ///   `Fi.O'` not exactly those with an edge to a mirror (under
+    ///   vertex-cut both are the owned vertices with a holder).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let (id, n, owned) = (self.id, self.globals.len(), self.owned);
+        let m = self.num_frags as usize;
+        let check = |cond: bool, what: &str| -> Result<(), String> {
+            if cond {
+                Ok(())
+            } else {
+                Err(format!("fragment {id}: {what}"))
+            }
+        };
+        check((id as usize) < m, "fragment id out of range")?;
+        check(owned <= n && self.graph.num_vertices() == n, "local graph must cover all locals")?;
+
+        let (offsets, targets) = (self.graph.offsets(), self.graph.targets());
+        check(offsets.len() == n + 1 && offsets[0] == 0, "CSR offsets start at 0, one per local")?;
+        check(offsets.windows(2).all(|w| w[0] <= w[1]), "CSR offsets monotone")?;
+        check(offsets[n] == targets.len(), "CSR offsets end at the edge count")?;
+        check(targets.len() == self.graph.edge_data_all().len(), "one edge datum per target")?;
+        check(targets.iter().all(|&t| (t as usize) < n), "edge target out of range")?;
+        check(self.vertex_cut || offsets[owned] == offsets[n], "edge-cut mirrors carry no rows")?;
+
+        // The local-id layout: owned globals strictly sorted, then mirror
+        // globals strictly sorted, no id in both. A duplicate would
+        // collapse the g2l map (last wins) and silently misroute
+        // messages; an unsorted run breaks the merges in `mutate`.
+        let (own, mir) = self.globals.split_at(owned);
+        check(own.windows(2).all(|w| w[0] < w[1]), "owned globals sorted unique")?;
+        check(mir.windows(2).all(|w| w[0] < w[1]), "mirror globals sorted unique")?;
+        let (mut i, mut j) = (0, 0);
+        while i < own.len() && j < mir.len() {
+            match own[i].cmp(&mir[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    return Err(format!(
+                        "fragment {id}: vertex {} is both owned and a mirror",
+                        own[i]
+                    ))
+                }
+            }
+        }
+        check(
+            self.globals.iter().enumerate().all(|(l, &g)| self.local(g) == Some(l as LocalId)),
+            "local(global(l)) == l",
+        )?;
+
+        let foreign = |&f: &FragId| (f as usize) < m && f != id;
+        check(self.mirror_owner.len() == n - owned, "one owner per mirror")?;
+        check(self.mirror_owner.iter().all(foreign), "mirror owner out of range or self")?;
+        let ho = &self.holder_offsets;
+        check(ho.len() == owned + 1 && ho[0] == 0, "holder offsets start at 0, one per owned")?;
+        check(ho.windows(2).all(|w| w[0] <= w[1]), "holder offsets monotone")?;
+        check(ho[owned] as usize == self.holders.len(), "holder offsets end at holder count")?;
+        check(self.holders.iter().all(foreign), "holder out of range or self")?;
+        let held = |l: usize| ho[l + 1] > ho[l];
+        check(
+            (0..owned).all(|l| {
+                self.holders[ho[l] as usize..ho[l + 1] as usize].windows(2).all(|w| w[0] < w[1])
+            }),
+            "holder lists sorted unique",
+        )?;
+
+        let derived_in = (0..owned).filter(|&l| held(l)).map(|l| l as LocalId);
+        check(
+            self.inner_in.iter().copied().eq(derived_in.clone()),
+            "inner_in == owned with holders",
+        )?;
+        if self.vertex_cut {
+            check(
+                self.inner_out.iter().copied().eq(derived_in),
+                "inner_out == owned with holders",
+            )?;
+        } else {
+            let cut = |l: &usize| {
+                targets[offsets[*l]..offsets[*l + 1]].iter().any(|&t| t as usize >= owned)
+            };
+            let derived_out = (0..owned).filter(cut).map(|l| l as LocalId);
+            check(
+                self.inner_out.iter().copied().eq(derived_out),
+                "inner_out == owned with a cut edge",
+            )?;
+        }
+        Ok(())
     }
 
     /// Owning fragment of every mirror, indexed by `local - owned_count()`

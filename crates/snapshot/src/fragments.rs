@@ -154,9 +154,11 @@ fn decode_fragment<V: Codec, E: Codec>(
 
 /// Cross-fragment coherence: every routing destination must actually
 /// hold a copy of the vertex, or the routing-table rebuild would panic
-/// on its `peer_local` lookup. Per-fragment checks can't see this —
-/// each fragment is internally consistent while naming a peer that
-/// lacks the vertex — so it runs once over the decoded partition.
+/// on its `peer_local` lookup. The per-fragment validator
+/// ([`Fragment::check_invariants`], run by `try_from_saved_parts` on
+/// every decoded fragment) can't see this — each fragment is internally
+/// consistent while naming a peer that lacks the vertex — so it runs
+/// once over the decoded partition.
 fn validate_partition<V, E>(frags: &[Fragment<V, E>]) -> Result<(), SnapshotError> {
     for f in frags {
         for m in f.mirrors() {

@@ -3,8 +3,9 @@
 //! allocation steady state — after warm-up, every batch performs the
 //! same, small number of heap allocations (the returned [`AppliedEdit`]
 //! vectors and nothing else on the weight-only fast path), because the
-//! scratch sets live in the pooled [`EditBuffers`] and retain their
-//! capacity across batches. Counts with the per-thread allocator of
+//! scratch lives in the pooled [`EditBuffers`] and retains its capacity
+//! across batches — and a structural batch may request little more than
+//! the fragments it rewrites. Counts with the per-thread allocator of
 //! `tests/common`.
 //!
 //! [`AppliedEdit`]: grape_aap::graph::mutate::AppliedEdit
@@ -15,7 +16,7 @@ use grape_aap::graph::{generate, Fragment, FxHashMap, FxHashSet};
 use grape_aap::prelude::*;
 
 mod common;
-use common::allocs;
+use common::{allocs, bytes};
 
 const M: usize = 4;
 
@@ -88,11 +89,12 @@ fn weight_only_stream_reaches_a_small_constant_allocation_per_batch() {
     assert!(per_batch <= 8, "weight-only batch allocated {per_batch} times; pool not retained");
 }
 
-/// Structural batches (insert + remove, CSR repack) through the full
-/// delta layer: the repack itself must allocate (fresh CSR vectors, the
-/// returned remaps/seeds), but the *scratch* allocation is pooled, so
-/// after warm-up every window allocates identically — and a stream that
-/// throws its `EditBuffers` away every batch pays strictly more.
+/// Structural batches (insert + remove, CSR splice) through the full
+/// delta layer: the splice itself must allocate (the new fragment's
+/// arrays, the returned remaps/seeds), but its *scratch* — the sorted op
+/// list, the per-local mark bytes — is pooled, so after warm-up every
+/// window allocates identically — and a stream that throws its
+/// `EditBuffers` away every batch pays strictly more.
 #[test]
 fn structural_stream_retains_scratch_capacity_across_batches() {
     use grape_aap::delta::apply::apply_to_fragments_with;
@@ -152,5 +154,53 @@ fn structural_stream_retains_scratch_capacity_across_batches() {
         "throwaway EditBuffers ({}) should out-allocate the pooled stream ({})",
         e - d,
         b - a
+    );
+}
+
+/// The splice writes each touched fragment once: a structural 0.1 %
+/// batch on `rmat(14, 16)` may request at most 1.5× the heap footprint
+/// of the fragments it rewrote — their new arrays, id map and routing
+/// tables, the old→new tables handed back as remaps, and batch-sized
+/// odds and ends. (An apply that expands fragments into global-id edge
+/// triples, sorts them and hashes its way back asks for more than 3×.)
+#[test]
+fn structural_batch_requests_little_more_than_the_fragments_it_rewrites() {
+    use grape_aap::delta::apply::apply_to_fragments_with;
+
+    let g = generate::rmat(14, 16, true, 7);
+    let mut frags = build_fragments_n(&g, &hash_partition(&g, M), M);
+    let ops = g.num_edges() / 1000;
+    let mut bufs = EditBuffers::default();
+    let mut requested = 0;
+    let mut changed = Vec::new();
+    // Batch 0 warms the pooled buffers; batch 1 is measured.
+    for seed in 0..2u64 {
+        let mut b: DeltaBuilder<(), u32> = DeltaBuilder::new();
+        for (u, v, w) in
+            grape_aap::delta::generate::insert_batch(&g, ops / 2, 9, seed).edges_added()
+        {
+            b.add_edge(*u, *v, *w);
+        }
+        for (u, v) in grape_aap::delta::generate::remove_batch(&g, ops / 2, seed).edges_removed() {
+            b.remove_edge(*u, *v);
+        }
+        let delta = b.build();
+        let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
+        let before = bytes();
+        let applied = apply_to_fragments_with(&mut refs, &delta, &mut bufs);
+        requested = bytes() - before;
+        changed = applied.changed;
+    }
+    assert!(changed.iter().all(|&c| c), "a 0.1 % batch over 4 fragments rewrites them all");
+
+    // What the rewritten fragments hold: cloning one requests exactly
+    // its arrays.
+    let before = bytes();
+    let copies: Vec<Fragment<(), u32>> = frags.to_vec();
+    let footprint = bytes() - before;
+    drop(copies);
+    assert!(
+        2 * requested < 3 * footprint,
+        "apply requested {requested} bytes, the rewritten fragments hold {footprint}"
     );
 }

@@ -138,6 +138,89 @@ fn eval_spans_carry_kernel_work_and_send_counts() {
     }
 }
 
+/// `apply_delta` self time is attributable: on a structural batch its
+/// children — `resolve_edit`, one `repack` per changed fragment (each
+/// covering that fragment's whole splice, with `rows_edited` / `edges`
+/// on its end event) and `routing` — lie inside it and cover at least
+/// 80 % of it; the threaded driver emits the same set; and the capture
+/// still nests per `(pid, tid)` for the bench parser.
+#[test]
+fn apply_delta_children_cover_the_structural_apply() {
+    use grape_aap::delta::apply::apply_to_fragments_par_traced;
+    use grape_aap::graph::mutate::EditBuffers;
+    use grape_aap::graph::partition::{build_fragments_n, hash_partition};
+    use grape_aap::trace::Phase;
+
+    let g = grape_aap::graph::generate::rmat(13, 16, true, 3);
+    let mut delta = DeltaBuilder::new();
+    for (u, v, w) in grape_aap::delta::generate::insert_batch(&g, 100, 9, 1).edges_added() {
+        delta.add_edge(*u, *v, *w);
+    }
+    for (u, v) in grape_aap::delta::generate::remove_batch(&g, 30, 2).edges_removed() {
+        delta.remove_edge(*u, *v);
+    }
+    let delta = delta.build();
+
+    for threads in [1usize, 2] {
+        let mut frags = build_fragments_n(&g, &hash_partition(&g, 4), 4);
+        let rec = Arc::new(Recorder::with_capacity(1 << 10));
+        let tracer = Tracer::new(Arc::clone(&rec));
+        let applied = {
+            let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
+            let bufs = &mut EditBuffers::default();
+            apply_to_fragments_par_traced(&mut refs, &delta, bufs, threads, &tracer)
+        };
+        let events = rec.events();
+        check_chrome_trace(&chrome_trace_json(&events)).expect("delta capture must nest");
+
+        // Close spans per (tid, name): the delta track nests, so a stack
+        // per tid pairs every end with its begin.
+        let mut open: std::collections::HashMap<u32, Vec<u64>> = Default::default();
+        let mut spans: Vec<(&str, u64, u64)> = Vec::new();
+        for e in events.iter().filter(|e| e.pid == pid::DELTA) {
+            match e.ph {
+                Phase::Begin => open.entry(e.tid).or_default().push(e.ts_us),
+                Phase::End => {
+                    let begun = open.get_mut(&e.tid).and_then(Vec::pop).expect("end after begin");
+                    spans.push((e.name, begun, e.ts_us));
+                    if e.name == "repack" {
+                        assert!(e.args.get("rows_edited").is_some(), "{:?}", e.args);
+                        assert!(e.args.get("edges").is_some(), "{:?}", e.args);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let count = |name: &str| spans.iter().filter(|s| s.0 == name).count();
+        let &(_, start, end) =
+            spans.iter().find(|s| s.0 == "apply_delta").expect("apply_delta span");
+        let changed = applied.changed.iter().filter(|&&c| c).count();
+        assert_eq!(count("repack"), changed, "threads = {threads}: one repack per changed");
+        assert_eq!(count("resolve_edit"), 1);
+        assert_eq!(count("routing"), 1);
+        let mut children: Vec<(u64, u64)> =
+            spans.iter().filter(|s| s.0 != "apply_delta").map(|s| (s.1, s.2)).collect();
+        assert!(children.iter().all(|&(s, e)| start <= s && e <= end), "children lie inside");
+        children.sort_unstable();
+        let (mut covered, mut upto) = (0, start);
+        for (s, e) in children {
+            covered += e.saturating_sub(s.max(upto));
+            upto = upto.max(e);
+        }
+        // Debug builds re-validate every changed fragment between the
+        // phases (`Fragment::check_invariants`), outside any span; and
+        // on a graph this small the threaded driver's own thread
+        // start-up — no span of the apply — is a tenth of the wall time.
+        if !cfg!(debug_assertions) && threads == 1 {
+            assert!(
+                covered * 5 >= (end - start) * 4,
+                "threads = {threads}: children cover {covered} of {} us",
+                end - start
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(6), ..ProptestConfig::default() })]
 
