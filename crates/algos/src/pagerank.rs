@@ -13,12 +13,34 @@
 //! once no matter the message order, because residual mass is *moved*, not
 //! recomputed — so no bounded staleness is required.
 //!
+//! **Schedule.** Every `PEval`/`IncEval` round makes exactly one pass over
+//! the owned vertices in ascending local id (CSR order). A vertex whose
+//! residual is `≥ ε` moves it into its score and pushes `d · r / deg` to
+//! its out-neighbours; owned neighbours with a higher id pick that mass up
+//! later in the same pass (Gauss–Seidel). Mass pushed back to an
+//! already-visited owned vertex is not chased now: if it leaves that vertex
+//! at or above `ε`, the round asks for a local round
+//! ([`UpdateCtx::request_local_round`]) and the leftover waits there — it
+//! merges with whatever remote batches arrive meanwhile and is pushed by
+//! the next round's pass. Mirror mass above `ε` is shipped at the end of
+//! every round.
+//!
+//! Neither the fixpoint nor its error bound depends on this order. Mass is
+//! only ever moved (a push adds to neighbours exactly what it removes from
+//! the pusher, scaled by `d`), so any order of pushes — FIFO, CSR order,
+//! deferred to a later round — sums the same path contributions. The run
+//! ends only when no worker has buffered messages or requested a local
+//! round, i.e. when every owned residual is `< ε` and no mirror holds
+//! more than `ε` — the sequential reference's stopping rule, which gives
+//! the `ε · (1 + #copies)` per-vertex error bound stated at the mirror
+//! flush.
+//!
 //! Scope: edge-cut partitions (the paper's setting). Mirrors have no
 //! out-edges, so they act purely as accumulators for cross-border mass.
 
 use crate::common::gather_owned;
 use aap_core::pie::{Messages, PieProgram, UpdateCtx};
-use aap_graph::{Fragment, LocalId};
+use aap_graph::Fragment;
 use std::sync::Arc;
 
 /// PageRank PIE program. Query = `()`; parameters live on the program.
@@ -46,44 +68,39 @@ pub struct PrState {
 }
 
 impl PageRank {
-    /// Push residual mass locally until all owned residuals are `< ε`,
-    /// then flush the mass accumulated on mirrors as messages.
-    fn propagate<V, E>(
-        &self,
-        frag: &Fragment<V, E>,
-        st: &mut PrState,
-        mut queue: std::collections::VecDeque<LocalId>,
-        ctx: &mut UpdateCtx<f64>,
-    ) {
+    /// One Gauss–Seidel pass over the owned vertices in ascending local id,
+    /// then flush the mass accumulated on mirrors as messages. Requests a
+    /// local round iff some owned residual is still `≥ ε` afterwards.
+    fn propagate<V, E>(&self, frag: &Fragment<V, E>, st: &mut PrState, ctx: &mut UpdateCtx<f64>) {
         debug_assert!(!frag.is_vertex_cut(), "PageRank supports edge-cut partitions");
-        let owned = frag.owned_count() as u32;
-        let mut queued = vec![false; frag.local_count()];
-        for &l in &queue {
-            queued[l as usize] = true;
-        }
         let mut work: u64 = 0;
-        while let Some(u) = queue.pop_front() {
-            work += 1;
-            queued[u as usize] = false;
+        let mut pending = false;
+        for u in frag.owned_vertices() {
             let r = st.residual[u as usize];
             if r < self.epsilon {
                 continue;
             }
+            work += 1;
             st.residual[u as usize] = 0.0;
             st.score[u as usize] += r;
-            let deg = frag.neighbors(u).len();
-            if deg == 0 {
+            let nbrs = frag.neighbors(u);
+            if nbrs.is_empty() {
                 continue;
             }
-            work += deg as u64;
-            let push = self.damping * r / deg as f64;
-            for &v in frag.neighbors(u) {
+            work += nbrs.len() as u64;
+            let push = self.damping * r / nbrs.len() as f64;
+            for &v in nbrs {
                 st.residual[v as usize] += push;
-                if v < owned && st.residual[v as usize] >= self.epsilon && !queued[v as usize] {
-                    queued[v as usize] = true;
-                    queue.push_back(v);
+                // `v <= u` is an owned vertex this pass has already visited
+                // (mirrors sort after every owned id); anything higher is
+                // still ahead of the pass and picks the mass up itself.
+                if v <= u && st.residual[v as usize] >= self.epsilon {
+                    pending = true;
                 }
             }
+        }
+        if pending {
+            ctx.request_local_round();
         }
         // Flush mirror-accumulated mass to owners once it is worth a
         // message (≥ ε), mirroring GRAPE+'s segment-batched communication
@@ -117,12 +134,8 @@ impl<V: Sync + Send, E: Sync + Send> PieProgram<V, E> for PageRank {
     fn peval(&self, _q: &(), frag: &Fragment<V, E>, ctx: &mut UpdateCtx<f64>) -> PrState {
         let n = frag.local_count();
         let mut st = PrState { score: vec![0.0; n], residual: vec![0.0; n] };
-        let mut queue = std::collections::VecDeque::with_capacity(frag.owned_count());
-        for l in frag.owned_vertices() {
-            st.residual[l as usize] = 1.0 - self.damping;
-            queue.push_back(l);
-        }
-        self.propagate(frag, &mut st, queue, ctx);
+        st.residual[..frag.owned_count()].fill(1.0 - self.damping);
+        self.propagate(frag, &mut st, ctx);
         st
     }
 
@@ -134,11 +147,9 @@ impl<V: Sync + Send, E: Sync + Send> PieProgram<V, E> for PageRank {
         msgs: &mut Messages<f64>,
         ctx: &mut UpdateCtx<f64>,
     ) {
-        let mut queue = std::collections::VecDeque::with_capacity(msgs.len());
         for (l, delta) in msgs.drain(..) {
             st.residual[l as usize] += delta;
             if st.residual[l as usize] >= self.epsilon {
-                queue.push_back(l);
                 ctx.note_effective(1);
             } else {
                 // Mass absorbed without triggering work: the update was
@@ -146,7 +157,7 @@ impl<V: Sync + Send, E: Sync + Send> PieProgram<V, E> for PageRank {
                 ctx.note_redundant(1);
             }
         }
-        self.propagate(frag, st, queue, ctx);
+        self.propagate(frag, st, ctx);
     }
 
     fn assemble(&self, _q: &(), frags: &[Arc<Fragment<V, E>>], states: Vec<PrState>) -> Vec<f64> {
@@ -162,7 +173,7 @@ mod tests {
     use crate::seq;
     use aap_core::{Engine, EngineOpts, Mode};
     use aap_graph::generate;
-    use aap_graph::partition::{build_fragments, hash_partition};
+    use aap_graph::partition::{build_fragments, build_fragments_n, hash_partition};
 
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
@@ -199,6 +210,39 @@ mod tests {
             // Thresholded propagation accumulates bounded error per vertex.
             assert!(close(&out.out, &expect, 1e-3), "mismatch beyond tolerance");
         }
+    }
+
+    /// The kernel's contract with the engine: a round that leaves an owned
+    /// residual at or above ε must ask for another round. Driven by hand
+    /// on one fragment (no mirrors, so no messages), `peval` then
+    /// message-less `inceval`s for as long as a local round is requested
+    /// must end with every residual below ε and the sequential scores.
+    #[test]
+    fn local_rounds_drain_every_owned_residual() {
+        let g = generate::rmat(9, 8, true, 21);
+        let frags = build_fragments_n(&g, &vec![0; g.num_vertices()], 1);
+        let f = &frags[0];
+        let pr = PageRank::default();
+        let mut ctx = UpdateCtx::new();
+        let mut st = PieProgram::<(), u32>::peval(&pr, &(), f, &mut ctx);
+        let mut rounds = 0;
+        loop {
+            let (sent, local) = ctx.take();
+            assert!(sent.is_empty(), "a single fragment has no mirrors to flush");
+            if !local {
+                break;
+            }
+            rounds += 1;
+            assert!(rounds < 10_000, "local rounds must terminate");
+            ctx = UpdateCtx::new();
+            PieProgram::<(), u32>::inceval(&pr, &(), f, &mut st, &mut Vec::new(), &mut ctx);
+        }
+        assert!(rounds > 0, "back-pushes on a power-law graph need a local round");
+        assert!(st.residual.iter().all(|&r| r < pr.epsilon), "an owned residual is left ≥ ε");
+        let frags: Vec<_> = frags.into_iter().map(Arc::new).collect();
+        let out = PieProgram::<(), u32>::assemble(&pr, &(), &frags, vec![st]);
+        let expect = seq::pagerank_delta(&g, pr.damping, pr.epsilon);
+        assert!(close(&out, &expect, 1e-3), "mismatch beyond tolerance");
     }
 
     #[test]

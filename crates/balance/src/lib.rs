@@ -27,7 +27,7 @@
 //! The session facade (`aap-session`) wires these together behind
 //! `SessionBuilder::balance(BalancePolicy)` and `Session::rebalance()`.
 
-use aap_graph::fragment::{PartitionStats, fragment_cut_edges};
+use aap_graph::fragment::{fragment_cut_edges, PartitionStats};
 use aap_graph::mutate::{
     migrate_edge_cut_traced, patch_vertex_cut_traced, AppliedEdit, StateRemap, VertexCutEdit,
     VertexMove,
@@ -289,9 +289,8 @@ fn plan_edge_cut<V, E>(frags: &[&Fragment<V, E>], policy: &BalancePolicy) -> Mig
 
     while plan.moves.len() < policy.migration_budget {
         // Most loaded un-frozen fragment, smallest index on ties.
-        let Some(src) = (0..m)
-            .filter(|&i| !frozen[i])
-            .fold(None, |best: Option<usize>, i| match best {
+        let Some(src) =
+            (0..m).filter(|&i| !frozen[i]).fold(None, |best: Option<usize>, i| match best {
                 Some(b) if loads[b] >= loads[i] => Some(b),
                 _ => Some(i),
             })
@@ -377,9 +376,8 @@ fn plan_vertex_cut<V, E>(frags: &[&Fragment<V, E>], policy: &BalancePolicy) -> M
     let mut frozen = vec![false; m];
 
     while plan.moves.len() < policy.migration_budget {
-        let Some(src) = (0..m)
-            .filter(|&i| !frozen[i])
-            .fold(None, |best: Option<usize>, i| match best {
+        let Some(src) =
+            (0..m).filter(|&i| !frozen[i]).fold(None, |best: Option<usize>, i| match best {
                 Some(b) if loads[b] >= loads[i] => Some(b),
                 _ => Some(i),
             })
@@ -398,7 +396,8 @@ fn plan_vertex_cut<V, E>(frags: &[&Fragment<V, E>], policy: &BalancePolicy) -> M
             cursor[src] += 1;
             let mut best: Option<(i64, FragId)> = None;
             for &h in f.mirror_holders(l) {
-                if loads[h as usize] + 1 < loads[src] && best.is_none_or(|b| (loads[h as usize], h) < b)
+                if loads[h as usize] + 1 < loads[src]
+                    && best.is_none_or(|b| (loads[h as usize], h) < b)
                 {
                     best = Some((loads[h as usize], h));
                 }
@@ -472,8 +471,9 @@ mod tests {
     /// fragment 0.
     fn skewed_frags(m: FragId) -> Vec<Fragment<(), u32>> {
         let g = small_world(120, 3, 0.2, 9);
-        let assignment: Vec<FragId> =
-            (0..120u32).map(|v| if v < 80 { 0 } else { 1 + (v % (m as u32 - 1)) as FragId }).collect();
+        let assignment: Vec<FragId> = (0..120u32)
+            .map(|v| if v < 80 { 0 } else { 1 + (v % (m as u32 - 1)) as FragId })
+            .collect();
         build_fragments_n(&g, &assignment, m as usize)
     }
 
@@ -560,7 +560,8 @@ mod tests {
         let g = small_world(64, 2, 0.1, 2);
         let assignment: Vec<FragId> = (0..64u32).map(|v| (v % 4) as FragId).collect();
         let frags = build_fragments_n(&g, &assignment, 4);
-        let plan = plan_migration(&frags, &BalancePolicy::new().max_imbalance(1.5), &Tracer::default());
+        let plan =
+            plan_migration(&frags, &BalancePolicy::new().max_imbalance(1.5), &Tracer::default());
         assert!(plan.is_empty());
     }
 }

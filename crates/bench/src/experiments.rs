@@ -1056,8 +1056,7 @@ pub fn rebalance() -> String {
     // --- the machinery it replaces: full re-partition + cold rerun ---
     let t = Instant::now();
     let (ref_out, t_full) = {
-        let view: Vec<&Fragment<(), u32>> =
-            session.fragments().iter().map(|a| &**a).collect();
+        let view: Vec<&Fragment<(), u32>> = session.fragments().iter().map(|a| &**a).collect();
         let g_now = reassemble(&view);
         let mut fresh = Session::builder(g_now)
             .partition(edge_cut(workers))

@@ -108,7 +108,10 @@ impl<Val> UpdateCtx<Val> {
 
     /// Declare that this worker still has *local* work pending even if no
     /// messages arrive (used by the vertex-centric adapter, whose supersteps
-    /// exchange purely local messages between rounds).
+    /// exchange purely local messages between rounds, and by PageRank,
+    /// which leaves residual pushed behind its sweep for the next round).
+    /// The engine runs another round; under AAP that round waits with any
+    /// partially accumulated batch (see [`crate::policy::delta`]).
     #[inline]
     pub fn request_local_round(&mut self) {
         self.local_work = true;

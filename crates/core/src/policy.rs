@@ -156,7 +156,10 @@ impl PolicyState {
 pub struct DeltaInputs {
     /// Staleness `ηi`: buffered batches.
     pub eta: usize,
-    /// The worker has pending local-only work (vertex-centric adapter).
+    /// The worker has pending local-only work (its last round called
+    /// [`crate::pie::UpdateCtx::request_local_round`]). Every mode treats
+    /// it as work to do; under AAP it forces a round only when `eta == 0`
+    /// — with `1 ≤ ηi < Li` the round waits for the batch like any other.
     pub local_work: bool,
     /// Rounds completed by this worker (`ri`).
     pub ri: Round,
@@ -182,6 +185,12 @@ pub fn l_floor(cfg: &AapConfig, m: usize) -> f64 {
 }
 
 /// The delay-stretch function `δ` (Eq. 1), covering all five modes.
+///
+/// Pending local work ([`DeltaInputs::local_work`]) counts as work in
+/// every mode. Under AAP it runs the worker at once only when no batch is
+/// buffered (`ηi = 0`); when `1 ≤ ηi < Li` the delay stretch applies to
+/// the whole round, local leftovers included, so they are pushed together
+/// with the accumulated batch.
 pub fn delta(mode: &Mode, ps: &PolicyState, inp: &DeltaInputs) -> Decision {
     let has_work = inp.eta > 0 || inp.local_work;
     if !has_work {
@@ -218,7 +227,7 @@ pub fn delta(mode: &Mode, ps: &PolicyState, inp: &DeltaInputs) -> Decision {
                     return Decision::Hold;
                 }
             }
-            if inp.local_work || (inp.eta as f64) >= ps.li {
+            if (inp.local_work && inp.eta == 0) || (inp.eta as f64) >= ps.li {
                 return Decision::Run;
             }
             // 1 ≤ ηi < Li: wait T_Li − T_idle, where T_Li = (Li − ηi)/si.
@@ -543,5 +552,48 @@ mod tests {
         let mut inp = inputs(0, 1, 1, 1);
         inp.local_work = true;
         assert_eq!(delta(&Mode::aap_with_floor(64.0), &ps, &inp), Decision::Run);
+    }
+
+    #[test]
+    fn aap_local_work_waits_behind_a_partial_batch() {
+        // Same reachable target as `aap_waits_when_target_reachable`: with
+        // 1 ≤ ηi < Li the delay stretch covers the local leftovers too.
+        let mut ps = PolicyState::new(0.0);
+        ps.li = 11.0;
+        ps.s_rate = 5.0;
+        ps.t_round = 4.0;
+        ps.idle_since = 100.0;
+        let mut inp = inputs(1, 1, 1, 1);
+        inp.local_work = true;
+        match delta(&Mode::aap(), &ps, &inp) {
+            Decision::Delay(d) => assert!((d - 2.0).abs() < 1e-9, "d = {d}"),
+            other => panic!("expected delay, got {other:?}"),
+        }
+        // Nothing buffered: the local work runs at once.
+        inp.eta = 0;
+        assert_eq!(delta(&Mode::aap(), &ps, &inp), Decision::Run);
+    }
+
+    #[test]
+    fn local_work_is_unchanged_outside_aap() {
+        let ps = PolicyState::new(0.0);
+        let hsync = Mode::Hsync(HsyncConfig::default());
+        for eta in [0, 1] {
+            // Level with the slowest worker: everyone runs.
+            let mut inp = inputs(eta, 1, 1, 1);
+            inp.local_work = true;
+            inp.hsync_sync = true;
+            for mode in [Mode::Bsp, Mode::Ap, Mode::Ssp { c: 1 }, hsync.clone()] {
+                assert_eq!(delta(&mode, &ps, &inp), Decision::Run, "{mode:?}, eta {eta}");
+            }
+            // Two rounds ahead: only AP ignores the bound.
+            let mut inp = inputs(eta, 3, 1, 3);
+            inp.local_work = true;
+            inp.hsync_sync = true;
+            assert_eq!(delta(&Mode::Ap, &ps, &inp), Decision::Run);
+            for mode in [Mode::Bsp, Mode::Ssp { c: 1 }, hsync.clone()] {
+                assert_eq!(delta(&mode, &ps, &inp), Decision::Hold, "{mode:?}, eta {eta}");
+            }
+        }
     }
 }

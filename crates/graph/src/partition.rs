@@ -95,9 +95,7 @@ pub fn rebuild_routing_tables_where<V, E>(frags: &mut [&mut Fragment<V, E>], nee
     let tables: Vec<Option<RoutingTable>> = frags
         .iter()
         .zip(need)
-        .map(|(f, &n)| {
-            n.then(|| routing_table_for(f, &|d, g| frags[d as usize].local(g)))
-        })
+        .map(|(f, &n)| n.then(|| routing_table_for(f, &|d, g| frags[d as usize].local(g))))
         .collect();
     for (f, t) in frags.iter_mut().zip(tables) {
         if let Some(t) = t {

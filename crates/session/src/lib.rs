@@ -875,8 +875,7 @@ where
                     tracer,
                     metrics: SessionMetrics::default(),
                 };
-                let bal = balance
-                    .map(|p| (p, BalanceMonitor::new(session.backend.fragments())));
+                let bal = balance.map(|p| (p, BalanceMonitor::new(session.backend.fragments())));
                 session.balance = bal;
                 if let Some((spec, policy)) = durable {
                     if read_manifest(&spec.dir)?.is_some() {
@@ -974,8 +973,7 @@ where
                 // it `session.balance` is `None`, so `apply_inner`
                 // skips the per-batch refresh) — rebalances are never
                 // logged, so the replayed layout is the starting point.
-                let bal =
-                    balance.map(|p| (p, BalanceMonitor::new(session.backend.fragments())));
+                let bal = balance.map(|p| (p, BalanceMonitor::new(session.backend.fragments())));
                 session.balance = bal;
                 // Reclaim generations stranded by a crash between a
                 // manifest flip and its cleanup (or mid-checkpoint).

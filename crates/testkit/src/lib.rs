@@ -289,8 +289,7 @@ pub fn skewed_stream(
     seed: u64,
 ) -> Vec<GraphDelta<(), u32>> {
     let assign = hash_partition(g, m);
-    let hot: Vec<u32> =
-        (0..g.num_vertices() as u32).filter(|&v| assign[v as usize] == 0).collect();
+    let hot: Vec<u32> = (0..g.num_vertices() as u32).filter(|&v| assign[v as usize] == 0).collect();
     assert!(!hot.is_empty(), "fragment 0 owns no vertices of the seed graph");
     let n = g.num_vertices() as u64;
     let mut rng = Xorshift::new(seed);

@@ -73,10 +73,7 @@ fn main() -> Result<(), SessionError> {
         report.fragments_repacked,
         took
     );
-    println!(
-        "imbalance {:.3} -> {:.3}",
-        report.imbalance_before, report.imbalance_after
-    );
+    println!("imbalance {:.3} -> {:.3}", report.imbalance_before, report.imbalance_after);
     assert!(report.imbalance_after < report.imbalance_before);
 
     // The answers did not move: ownership is a physical property,

@@ -1,8 +1,8 @@
 //! Social-network ranking (the Friendster scenario of §7): delta-based
 //! PageRank on a power-law graph, PIE vs the vertex-centric baseline.
 //!
-//! The PIE program propagates residual mass through the whole fragment per
-//! round; the vertex-centric baseline (Giraph-style) advances one hop per
+//! The PIE program sweeps residual mass through the whole fragment in one
+//! CSR-order pass per round; the vertex-centric baseline (Giraph-style) advances one hop per
 //! superstep and recomputes every vertex for a fixed iteration budget —
 //! compare the round and message counts.
 //!

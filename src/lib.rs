@@ -82,10 +82,10 @@ pub use aap_session::{Session, SessionBuilder, SessionReader};
 /// Most-used items in one import.
 pub mod prelude {
     pub use aap_algos::{Bfs, Cf, ConnectedComponents, PageRank, Sssp, VertexCentric};
+    pub use aap_balance::{BalancePolicy, BalanceReport};
     pub use aap_core::prelude::*;
     pub use aap_delta::{DeltaBuilder, GraphDelta};
     pub use aap_graph::{Fragment, Graph, GraphBuilder, VertexId};
-    pub use aap_balance::{BalancePolicy, BalanceReport};
     pub use aap_session::{
         edge_cut, vertex_cut, CheckpointHandle, CheckpointReport, DurabilityPolicy,
         RebalanceReport, Session, SessionBuilder, SessionError, SessionReader,

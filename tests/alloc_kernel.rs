@@ -3,7 +3,8 @@
 //! `Sssp::inceval` call whose single message improves one vertex and its
 //! neighbours must request the same few bytes from the allocator whatever
 //! the fragment's size — a kernel that sizes anything by `local_count`
-//! (a per-call bitmap, say) requests at least that many bytes.
+//! (a per-call bitmap, say) requests at least that many bytes. PageRank's
+//! `IncEval` sweeps arrays it already owns, so it requests nothing at all.
 
 use grape_aap::algos::common::INF;
 use grape_aap::algos::sssp::SsspState;
@@ -59,4 +60,28 @@ fn inceval_allocation_is_independent_of_fragment_size() {
         );
         assert!(used <= 1024, "one bounded inceval requested {used} bytes");
     }
+}
+
+/// PageRank's `IncEval` is one pass over dense per-vertex arrays it already
+/// owns: with a warm update buffer, a round that absorbs a batch, pushes it
+/// and ships mirror mass requests nothing from the allocator.
+#[test]
+fn warm_pagerank_inceval_allocates_nothing() {
+    let g = generate::rmat(11, 8, true, 3);
+    let frags = build_fragments(&g, &hash_partition(&g, 4));
+    let f = &frags[0];
+    let pr = PageRank::default();
+    let mut state = PieProgram::<(), u32>::peval(&pr, &(), f, &mut UpdateCtx::new());
+    // Warm, as engines keep it: room for one update per mirror.
+    let mut ctx = UpdateCtx::with_buffer(Vec::with_capacity(f.mirror_count()));
+    let mut msgs: Messages<f64> = f.owned_vertices().step_by(7).map(|l| (l, 0.5)).collect();
+    let batch = msgs.len() as u64;
+
+    let before = bytes();
+    PieProgram::<(), u32>::inceval(&pr, &(), f, &mut state, &mut msgs, &mut ctx);
+    let used = bytes() - before;
+
+    assert_eq!(ctx.effect_counts(), (batch, 0), "every message carries mass ≥ ε");
+    assert!(!ctx.is_empty(), "the pushed batch reaches mirrors, which ship");
+    assert_eq!(used, 0, "one warm PageRank inceval requested {used} bytes");
 }

@@ -135,7 +135,9 @@ fn rebalance_matches_full_repartition_across_modes_and_partitions() {
             // The session keeps streaming warm on the migrated layout.
             let tail = skewed_stream(&g_fin, FRAGS, 1, 8, 0xF00 + seed_of(kind, &mode));
             let g_more = apply_to_graph(&g_fin, &tail[0]);
-            session.apply(&tail[0]).unwrap_or_else(|e| panic!("{label}: post-rebalance apply: {e}"));
+            session
+                .apply(&tail[0])
+                .unwrap_or_else(|e| panic!("{label}: post-rebalance apply: {e}"));
             let (ref_s3, _) = cold_reference(&g_more, kind, mode.clone(), 0);
             assert_eq!(
                 session.query::<Sssp>("sssp", &0).unwrap(),
@@ -183,11 +185,8 @@ fn vertex_cut_rebalance_moves_between_holders_in_place() {
 #[test]
 fn rebalance_without_policy_is_an_error() {
     let g = grape_aap::graph::generate::small_world(40, 2, 0.2, 1);
-    let mut session = Session::builder(g)
-        .partition(edge_cut(2))
-        .program("sssp", Sssp)
-        .open()
-        .unwrap();
+    let mut session =
+        Session::builder(g).partition(edge_cut(2)).program("sssp", Sssp).open().unwrap();
     assert!(session.balance_report().is_none());
     assert!(matches!(session.rebalance(), Err(SessionError::NoBalancePolicy)));
 }

@@ -76,13 +76,25 @@ fn bfs_agrees_with_reference_everywhere() {
 #[test]
 fn pagerank_agrees_within_tolerance_everywhere() {
     let g = generate::rmat(8, 8, true, 5);
-    let pr = PageRank { damping: 0.85, epsilon: 1e-8 };
-    let expect = seq::pagerank_delta(&g, 0.85, 1e-8);
-    for mode in modes() {
-        let frags = build_fragments(&g, &hash_partition(&g, 5));
-        let run = engine(frags, mode.clone()).run(&pr, &());
-        for (v, (a, b)) in run.out.iter().zip(&expect).enumerate() {
-            assert!((a - b).abs() < 1e-3, "mode {mode:?}, vertex {v}: {a} vs {b}");
+    let partitions = [
+        ("hash", hash_partition(&g, 5)),
+        ("range", range_partition(&g, 5)),
+        ("single", vec![0; g.num_vertices()]),
+    ];
+    for epsilon in [1e-8, PageRank::default().epsilon] {
+        let pr = PageRank { damping: 0.85, epsilon };
+        let expect = seq::pagerank_delta(&g, 0.85, epsilon);
+        for (name, assignment) in &partitions {
+            for mode in modes() {
+                let run = engine(build_fragments(&g, assignment), mode.clone()).run(&pr, &());
+                assert!(!run.stats.aborted, "ε {epsilon}, partition {name}, mode {mode:?}");
+                for (v, (a, b)) in run.out.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (a - b).abs() < 1e-3,
+                        "ε {epsilon}, partition {name}, mode {mode:?}, vertex {v}: {a} vs {b}"
+                    );
+                }
+            }
         }
     }
 }

@@ -61,14 +61,36 @@ fn bfs_same_answer_in_both_runtimes() {
 
 #[test]
 fn pagerank_close_in_both_runtimes() {
-    let g = generate::uniform(200, 1200, true, 47);
     let pr = PageRank { damping: 0.85, epsilon: 1e-8 };
-    let expect = seq::pagerank_delta(&g, 0.85, 1e-8);
-    let t = Engine::new(frags(&g, 4), EngineOpts::default()).run(&pr, &());
-    let s = SimEngine::new(frags(&g, 4), SimOpts::default()).expect("valid opts").run(&pr, &());
-    for (v, &e) in expect.iter().enumerate() {
-        assert!((t.out[v] - e).abs() < 1e-3, "threaded v{v}");
-        assert!((s.out[v] - e).abs() < 1e-3, "sim v{v}");
+    let modes =
+        [Mode::Bsp, Mode::Ap, Mode::Ssp { c: 2 }, Mode::aap(), Mode::Hsync(HsyncConfig::default())];
+    for (name, g) in [
+        ("uniform", generate::uniform(200, 1200, true, 47)),
+        ("rmat", generate::rmat(9, 8, true, 47)),
+    ] {
+        let expect = seq::pagerank_delta(&g, 0.85, 1e-8);
+        for mode in &modes {
+            let t = Engine::new(
+                frags(&g, 4),
+                EngineOpts {
+                    mode: mode.clone(),
+                    max_rounds: Some(100_000),
+                    ..EngineOpts::default()
+                },
+            )
+            .run(&pr, &());
+            let s = SimEngine::new(
+                frags(&g, 4),
+                SimOpts { mode: mode.clone(), max_rounds: Some(100_000), ..SimOpts::default() },
+            )
+            .expect("valid opts")
+            .run(&pr, &());
+            assert!(!t.stats.aborted && !s.stats.aborted, "{name}, {mode:?}");
+            for (v, &e) in expect.iter().enumerate() {
+                assert!((t.out[v] - e).abs() < 1e-3, "threaded {name}, {mode:?}, v{v}");
+                assert!((s.out[v] - e).abs() < 1e-3, "sim {name}, {mode:?}, v{v}");
+            }
+        }
     }
 }
 
