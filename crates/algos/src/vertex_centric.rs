@@ -10,8 +10,8 @@
 //! mirrors become PIE update parameters and travel to the owning fragment.
 //! Under the engine's BSP mode this is exactly Pregel/Giraph; under AP it
 //! behaves like the asynchronous vertex-centric engines (GraphLab-async),
-//! which is how the §7 baselines are realised (see DESIGN.md
-//! substitutions).
+//! which is how the §7 baselines are realised (see the README's
+//! "Substitutions" section).
 //!
 //! The crucial *performance* difference from native PIE programs — the one
 //! the paper measures — is that a vertex-centric superstep advances

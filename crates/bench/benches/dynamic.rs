@@ -19,6 +19,7 @@ use aap_delta::generate::{insert_batch, insert_batch_within, remove_batch};
 use aap_delta::{apply_to_fragments, plan_incremental, remap_invalid, Applied, GraphDelta};
 use aap_graph::partition::{build_fragments_n, hash_partition};
 use aap_graph::{generate, Fragment, Graph, LocalId};
+use aap_trace::Tracer;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -49,11 +50,12 @@ fn prepare(g: &Graph<(), u32>, delta: &GraphDelta) -> Prepared {
     );
     let (_, mut sssp_state) = engine.run_retained(&Sssp, &0);
     let (_, mut cc_state) = engine.run_retained(&ConnectedComponents, &());
+    let off = Tracer::default();
     let (sssp_inv_old, cc_inv_old) = {
         let view: Vec<&Fragment<(), u32>> = engine.fragments().iter().map(|a| &**a).collect();
         (
-            plan_incremental(&view, &Sssp, &0, delta, &mut sssp_state).1,
-            plan_incremental(&view, &ConnectedComponents, &(), delta, &mut cc_state).1,
+            plan_incremental(&view, &Sssp, &0, delta, &mut sssp_state, &off).1,
+            plan_incremental(&view, &ConnectedComponents, &(), delta, &mut cc_state, &off).1,
         )
     };
     let applied = {
@@ -185,6 +187,7 @@ fn bench_dynamic(c: &mut Criterion) {
         let (_, mut cc_st) = engine.run_retained(&ConnectedComponents, &());
         let delta = remove_batch(&g, del_count, 0xDE1E);
         let view: Vec<&Fragment<(), u32>> = engine.fragments().iter().map(|a| &**a).collect();
+        let off = Tracer::default();
         // Uncached rows clear the plan cache per iteration, measuring the
         // full gather + affected-region pass; `_cached` rows keep the
         // cache warm — the steady-state cost of a deletion batch in a
@@ -192,21 +195,35 @@ fn bench_dynamic(c: &mut Criterion) {
         group.bench_function("sssp_plan_delete_0.1pct", |b| {
             b.iter(|| {
                 sssp_st.plan_cache_mut().clear();
-                black_box(plan_incremental(&view, &Sssp, &0, &delta, &mut sssp_st))
+                black_box(plan_incremental(&view, &Sssp, &0, &delta, &mut sssp_st, &off))
             })
         });
         group.bench_function("sssp_plan_delete_0.1pct_cached", |b| {
-            b.iter(|| black_box(plan_incremental(&view, &Sssp, &0, &delta, &mut sssp_st)))
+            b.iter(|| black_box(plan_incremental(&view, &Sssp, &0, &delta, &mut sssp_st, &off)))
         });
         group.bench_function("cc_plan_delete_0.1pct", |b| {
             b.iter(|| {
                 cc_st.plan_cache_mut().clear();
-                black_box(plan_incremental(&view, &ConnectedComponents, &(), &delta, &mut cc_st))
+                black_box(plan_incremental(
+                    &view,
+                    &ConnectedComponents,
+                    &(),
+                    &delta,
+                    &mut cc_st,
+                    &off,
+                ))
             })
         });
         group.bench_function("cc_plan_delete_0.1pct_cached", |b| {
             b.iter(|| {
-                black_box(plan_incremental(&view, &ConnectedComponents, &(), &delta, &mut cc_st))
+                black_box(plan_incremental(
+                    &view,
+                    &ConnectedComponents,
+                    &(),
+                    &delta,
+                    &mut cc_st,
+                    &off,
+                ))
             })
         });
     }

@@ -122,8 +122,8 @@ fn main() {
         let header = "# EXPERIMENTS — paper vs measured\n\n\
             Generated by `cargo run --release -p aap-bench --bin repro -- all --write`.\n\
             Times are virtual units of the discrete-event simulator (except the\n\
-            single-thread section, which is wall-clock). See DESIGN.md for the\n\
-            dataset/system substitutions and README.md for how to read the shapes.\n\n";
+            single-thread section, which is wall-clock). See README.md (\"Substitutions\")\n\
+            for the dataset/system stand-ins and how to read the shapes.\n\n";
         let mut f = std::fs::File::create(path).expect("write EXPERIMENTS.md");
         f.write_all(header.as_bytes()).unwrap();
         f.write_all(report.as_bytes()).unwrap();

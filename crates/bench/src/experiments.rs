@@ -1433,7 +1433,7 @@ pub fn stats_json_seeded(seed: u64) -> String {
     let mut sim = SimEngine::new(frags, SimOpts::default()).expect("default sim opts are valid");
     let (_, mut state) = sim.run_retained(&Sssp, &0);
     let delta = aap_delta::generate::insert_batch(&fr, (fr.num_edges() / 1000).max(4), 9, seed);
-    let warm = aap_delta::run_incremental_sim(&mut sim, &Sssp, &0, &delta, &mut state);
+    let warm = aap_delta::run_incremental(&mut sim, &Sssp, &0, &delta, &mut state);
     let cold = sim.run(&Sssp, &0);
     out.push_str(&format!(
         "{{\"experiment\":\"dynamic_sssp_friendster\",\"seed\":{seed},\"incremental\":{},\"full\":{}}}\n",
@@ -1449,7 +1449,7 @@ pub fn stats_json_seeded(seed: u64) -> String {
     let mut sim = SimEngine::new(frags, SimOpts::default()).expect("default sim opts are valid");
     let (_, mut state) = sim.run_retained(&Sssp, &0);
     let delta = aap_delta::generate::remove_batch(&fr, (fr.num_edges() / 1000).max(4), seed);
-    let warm = aap_delta::run_incremental_sim(&mut sim, &Sssp, &0, &delta, &mut state);
+    let warm = aap_delta::run_incremental(&mut sim, &Sssp, &0, &delta, &mut state);
     assert!(
         warm.strategy == aap_core::pie::WarmStrategy::WarmIncrease,
         "deletion batch must run warm-increase, got {}",
@@ -1683,12 +1683,50 @@ pub fn all() -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     #[test]
     fn fig1_fragments_form_one_component() {
         let frags = super::fig1_fragments();
         assert_eq!(frags.len(), 3);
         let owned: usize = frags.iter().map(|f| f.owned_count()).sum();
         assert_eq!(owned, 80);
+    }
+
+    /// The simulator's trace shows why AAP loses Fig 1: at t = 12 the
+    /// slow worker P2 finishes round 2 behind every other worker (rmin
+    /// over the others is 3) with one batch buffered, and δ delays it.
+    #[test]
+    fn fig1_aap_trace_shows_the_straggler_delayed() {
+        use aap_trace::{pid, ArgVal, Recorder, Tracer};
+        use std::sync::Arc;
+        let rec = Arc::new(Recorder::with_capacity(1 << 14));
+        let mut sim = SimEngine::new(
+            super::fig1_fragments(),
+            SimOpts {
+                mode: Mode::aap(),
+                latency: 1.0,
+                cost: CostModel::FixedPerWorker(vec![3.0, 3.0, 6.0]),
+                max_rounds: Some(10_000),
+                ..SimOpts::default()
+            },
+        )
+        .expect("fig1 sim opts are valid");
+        sim.set_tracer(Tracer::new(Arc::clone(&rec)));
+        sim.run(&ConnectedComponents, &());
+        assert_eq!(rec.dropped(), 0);
+        let at_12: Vec<_> = rec
+            .events()
+            .into_iter()
+            .filter(|e| e.pid == pid::SIM && e.tid == 2 && e.name == "decision")
+            .filter(|e| e.ts_us == 12_000)
+            .collect();
+        assert_eq!(at_12.len(), 1, "one δ evaluation of P2 at t = 12: {at_12:?}");
+        let args = at_12[0].args;
+        assert_eq!(args.get("decision"), Some(ArgVal::Str("delay")));
+        assert_eq!(args.get("round"), Some(ArgVal::Uint(2)));
+        assert_eq!(args.get("eta"), Some(ArgVal::Uint(1)));
+        assert_eq!(args.get("rmin"), Some(ArgVal::Uint(3)));
     }
 
     #[test]

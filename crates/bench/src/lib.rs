@@ -1,8 +1,9 @@
 //! # aap-bench
 //!
 //! The reproduction harness: one experiment per table and figure of the
-//! paper's evaluation (§7 + Appendix B). See DESIGN.md for the experiment
-//! index and EXPERIMENTS.md for recorded results.
+//! paper's evaluation (§7 + Appendix B). The README's "Substitutions"
+//! section lists the stand-in datasets and cluster; `repro all --write`
+//! records results in EXPERIMENTS.md.
 //!
 //! Run everything:
 //!

@@ -1,5 +1,5 @@
-//! Named workloads standing in for the paper's datasets (see DESIGN.md
-//! "Substitutions"). Sizes are laptop-scale; every generator is
+//! Named workloads standing in for the paper's datasets (see the
+//! README's "Substitutions" section). Sizes are laptop-scale; every generator is
 //! deterministic, so numbers in EXPERIMENTS.md are reproducible bit-for-bit.
 
 use aap_graph::generate::{self, RatingsGraph};

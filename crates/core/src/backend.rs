@@ -1,23 +1,23 @@
-//! The execution backend a [`crate::Session`] drives: the threaded
-//! GRAPE+ [`Engine`] or the deterministic [`SimEngine`], behind one
-//! trait so the session lifecycle (retained queries, warm-start
-//! advances, in-place delta application) is written once.
+//! The execution backend a serving session or an incremental driver
+//! runs on: the threaded GRAPE+ [`Engine`] (implemented here) or the
+//! deterministic simulator (`aap_sim::SimEngine`, implemented there),
+//! behind one trait so retained queries, warm-start advances and
+//! in-place delta application are written once for both.
 
-use aap_core::engine::{RunOutput, RunState};
-use aap_core::pie::WarmStart;
-use aap_core::{Engine, RunStats};
+use crate::engine::{Engine, RunOutput, RunState};
+use crate::pie::WarmStart;
+use crate::stats::RunStats;
 use aap_graph::mutate::StateRemap;
 use aap_graph::{Fragment, LocalId};
-use aap_sim::{SimEngine, SimOutput};
 use aap_trace::Tracer;
 use std::sync::Arc;
 
 /// What a session needs from an engine: fragment access (shared for
 /// runs, exclusive for in-place delta application) and the two retained
 /// evaluation entry points. Implemented by [`Engine`] (threaded,
-/// wall-clock) and [`SimEngine`] (single-threaded, virtual time — its
-/// timelines are dropped at this boundary; drive a `SimEngine` directly
-/// when you need them).
+/// wall-clock) and `aap_sim::SimEngine` (single-threaded, virtual time —
+/// its timelines are dropped at this boundary; drive a `SimEngine`
+/// directly when you need them).
 pub trait Backend<V, E>: Sized + 'static {
     /// The fragments this backend computes over.
     fn fragments(&self) -> &[Arc<Fragment<V, E>>];
@@ -29,9 +29,9 @@ pub trait Backend<V, E>: Sized + 'static {
     /// Copy-on-write access to the fragments for in-place mutation
     /// *while a consistent cut shares them*: shared `Arc`s detach by
     /// cloning the fragment (the cut keeps the pre-apply bytes),
-    /// exclusive ones borrow in place with no copy. Only called when
-    /// `V: Clone, E: Clone` holds — i.e. from `Session::apply`, whose
-    /// delta application already requires it.
+    /// exclusive ones borrow in place with no copy. Only callable when
+    /// `V: Clone, E: Clone` holds, which delta application requires
+    /// anyway.
     fn fragments_cow(&mut self) -> Vec<&mut Fragment<V, E>>
     where
         V: Clone,
@@ -123,58 +123,6 @@ where
     {
         let RunOutput { out, stats } =
             Engine::run_incremental(self, prog, q, remaps, seeds, invalid, state);
-        (out, stats)
-    }
-}
-
-impl<V, E> Backend<V, E> for SimEngine<V, E>
-where
-    V: 'static,
-    E: 'static,
-{
-    fn fragments(&self) -> &[Arc<Fragment<V, E>>] {
-        SimEngine::fragments(self)
-    }
-
-    fn fragments_mut(&mut self) -> Option<Vec<&mut Fragment<V, E>>> {
-        SimEngine::fragments_mut(self)
-    }
-
-    fn fragments_cow(&mut self) -> Vec<&mut Fragment<V, E>>
-    where
-        V: Clone,
-        E: Clone,
-    {
-        SimEngine::fragments_cow(self)
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        SimEngine::set_tracer(self, tracer);
-    }
-
-    fn run_retained<P>(&self, prog: &P, q: &P::Query) -> (P::Out, RunStats, RunState<P::State>)
-    where
-        P: WarmStart<V, E>,
-    {
-        let (SimOutput { out, stats, timelines: _ }, state) =
-            SimEngine::run_retained(self, prog, q);
-        (out, stats, state)
-    }
-
-    fn run_incremental<P>(
-        &self,
-        prog: &P,
-        q: &P::Query,
-        remaps: &[StateRemap],
-        seeds: &[Vec<LocalId>],
-        invalid: &[Vec<LocalId>],
-        state: &mut RunState<P::State>,
-    ) -> (P::Out, RunStats)
-    where
-        P: WarmStart<V, E>,
-    {
-        let SimOutput { out, stats, timelines: _ } =
-            SimEngine::run_incremental(self, prog, q, remaps, seeds, invalid, state);
         (out, stats)
     }
 }

@@ -20,13 +20,14 @@
 //!   inactive; any arriving message revives it; the run ends when no worker
 //!   is active and no messages are buffered).
 
-use crate::inbox::Inbox;
-use crate::pie::{route_updates_into, Batch, PieProgram, UpdateCtx, WarmStart};
+use crate::inbox::{DrainInfo, Inbox};
+use crate::pie::{Batch, PieProgram, UpdateCtx, WarmStart};
 use crate::policy::{self, Decision, Mode, PolicyState, SharedRates};
 use crate::scratch::{Scratch, SharedPool};
-use crate::stats::{RunStats, WorkerStats, BATCH_HEADER_BYTES, UPDATE_KEY_BYTES};
+use crate::stats::{RunStats, WorkerStats};
+use crate::step::Step;
 use aap_graph::mutate::StateRemap;
-use aap_graph::{Fragment, LocalId, VertexId};
+use aap_graph::{FragId, Fragment, LocalId, VertexId};
 use aap_trace::{cat, pid, Args, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -441,6 +442,23 @@ impl<Val, St> Cell<Val, St> {
             rounds: AtomicU32::new(0),
         }
     }
+
+    /// Drain the inbox into `scratch`, zeroing the lock-free `ηi` mirror
+    /// under the same lock so a concurrent push is never lost.
+    fn drain<V, E, P>(
+        &self,
+        prog: &P,
+        frag: &Fragment<V, E>,
+        scratch: &mut Scratch<Val>,
+    ) -> DrainInfo
+    where
+        P: PieProgram<V, E, Val = Val>,
+    {
+        let mut inbox = self.inbox.lock();
+        let info = inbox.drain_into(prog, frag, scratch);
+        self.eta.store(0, Ordering::Relaxed);
+        info
+    }
 }
 
 struct Coord {
@@ -619,28 +637,12 @@ where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State + Sync,
     {
-        match self.opts.mode {
-            Mode::Bsp => self.run_bsp(prog, q, eval0),
-            _ => self.run_async(prog, q, eval0),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // BSP path: honest supersteps with a barrier (GRAPE / GRAPE+BSP).
-    // ------------------------------------------------------------------
-    fn run_bsp<P, F>(&self, prog: &P, q: &P::Query, eval0: &F) -> (RunStats, Vec<P::State>)
-    where
-        P: PieProgram<V, E>,
-        F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State + Sync,
-    {
         let m = self.frags.len();
         let start = Instant::now();
         let cells: Vec<Cell<P::Val, P::State>> = (0..m).map(|_| Cell::new()).collect();
         attach_shared_pool(&cells);
         let nthreads = self.opts.threads.clamp(1, m.max(1));
-        let mut aborted = false;
-        let traced = self.tracer.enabled();
-        if traced {
+        if self.tracer.enabled() {
             self.tracer.instant(
                 pid::ENGINE,
                 0,
@@ -652,154 +654,77 @@ where
                     .with("threads", nthreads),
             );
         }
+        let step = Step { prog, q, eval0, tracer: &self.tracer };
+        let aborted = match self.opts.mode {
+            Mode::Bsp => self.run_bsp(&step, &cells, nthreads),
+            _ => self.run_async(&step, &cells, nthreads, start),
+        };
+        collect(cells, &self.opts.mode, start, aborted)
+    }
 
+    /// Open worker `w`'s `round` span (closed by the driver once the
+    /// round's batches are handed off).
+    fn trace_round(&self, w: usize, round: u32) {
+        if self.tracer.enabled() {
+            self.tracer.begin(
+                pid::ENGINE,
+                w as u32,
+                cat::ROUND,
+                "round",
+                Args::new().with("round", round).with("frag", w),
+            );
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // BSP path: honest supersteps with a barrier (GRAPE / GRAPE+BSP).
+    // Returns whether the `max_rounds` valve aborted the run.
+    // ------------------------------------------------------------------
+    fn run_bsp<P, F>(
+        &self,
+        step: &Step<'_, P, P::Query, F>,
+        cells: &[Cell<P::Val, P::State>],
+        nthreads: usize,
+    ) -> bool
+    where
+        P: PieProgram<V, E>,
+        F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State + Sync,
+    {
+        let m = cells.len();
         // Superstep 0: PEval everywhere.
         let mut active: Vec<usize> = (0..m).collect();
         let mut superstep: u32 = 0;
         while !active.is_empty() {
-            if let Some(maxr) = self.opts.max_rounds {
-                if superstep > maxr {
-                    aborted = true;
-                    break;
-                }
+            if self.opts.max_rounds.is_some_and(|maxr| superstep > maxr) {
+                return true;
             }
-            // Outgoing batches per executing worker, delivered post-barrier.
-            type Outbox<Val> = Mutex<Vec<(aap_graph::FragId, Batch<Val>)>>;
-            let outs: Vec<Outbox<P::Val>> = active.iter().map(|_| Mutex::new(Vec::new())).collect();
-            let next_work: Vec<Mutex<bool>> = active.iter().map(|_| Mutex::new(false)).collect();
+            // Per executing worker: its routed batches, delivered
+            // post-barrier, and whether it asked for a local round.
+            type Outbox<Val> = Mutex<(Vec<(FragId, Batch<Val>)>, bool)>;
+            let outs: Vec<Outbox<P::Val>> = active.iter().map(|_| Mutex::default()).collect();
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..nthreads {
                     s.spawn(|| loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= active.len() {
-                            return;
-                        }
-                        let w = active[i];
-                        let frag = &self.frags[w];
-                        let cell = &cells[w];
+                        let Some(&w) = active.get(i) else { return };
+                        let (frag, cell) = (&self.frags[w], &cells[w]);
                         let mut scratch = cell.scratch.lock();
                         let t0 = Instant::now();
-                        if traced {
-                            self.tracer.begin(
-                                pid::ENGINE,
-                                w as u32,
-                                cat::ROUND,
-                                "round",
-                                Args::new().with("round", superstep).with("frag", w),
-                            );
-                            self.tracer.begin(
-                                pid::ENGINE,
-                                w as u32,
-                                cat::PHASE,
-                                "drain",
-                                Args::new(),
-                            );
-                        }
-                        {
-                            let mut inbox = cell.inbox.lock();
-                            let info = inbox.drain_into(prog, frag, &mut scratch);
-                            cell.eta.store(0, Ordering::Relaxed);
-                            scratch.reserve_for_traffic(info.raw_updates, info.batches);
-                            if traced {
-                                self.tracer.end(
-                                    pid::ENGINE,
-                                    w as u32,
-                                    cat::PHASE,
-                                    "drain",
-                                    Args::new()
-                                        .with("batches", info.batches)
-                                        .with("updates", info.raw_updates),
-                                );
-                            }
-                        }
-                        let mut msgs = scratch.take_msgs();
-                        let delivered = msgs.len() as u64;
-                        let mut ctx = UpdateCtx::with_buffer(scratch.take_updates_buf());
-                        let eval_name = if superstep == 0 { "eval0" } else { "inceval" };
-                        if traced {
-                            self.tracer.begin(
-                                pid::ENGINE,
-                                w as u32,
-                                cat::PHASE,
-                                eval_name,
-                                Args::new(),
-                            );
-                        }
-                        if superstep == 0 {
-                            let st = eval0(w, frag, &mut ctx);
-                            *cell.state.lock() = Some(st);
-                        } else {
-                            let mut guard = cell.state.lock();
-                            let st = guard.as_mut().expect("state initialised by PEval");
-                            prog.inceval(q, frag, st, &mut msgs, &mut ctx);
-                        }
-                        scratch.give_msgs(msgs);
-                        let dt = t0.elapsed().as_secs_f64();
-                        let (effective, redundant) = ctx.effect_counts();
-                        let (work, sent) = (ctx.work(), ctx.len());
-                        let (mut updates, local_work) = ctx.take();
-                        if traced {
-                            self.tracer.end(
-                                pid::ENGINE,
-                                w as u32,
-                                cat::PHASE,
-                                eval_name,
-                                Args::new()
-                                    .with("effective", effective)
-                                    .with("redundant", redundant)
-                                    .with("work", work)
-                                    .with("sent", sent),
-                            );
-                            self.tracer.begin(
-                                pid::ENGINE,
-                                w as u32,
-                                cat::PHASE,
-                                "route",
-                                Args::new(),
-                            );
-                        }
-                        let mut batches = std::mem::take(&mut scratch.out);
-                        route_updates_into(
-                            prog,
+                        self.trace_round(w, superstep);
+                        let r = step.round(
+                            w,
                             frag,
                             superstep,
-                            &mut updates,
                             &mut scratch,
-                            &mut batches,
+                            &mut cell.state.lock(),
+                            |s| cell.drain(step.prog, frag, s),
+                            |_| t0.elapsed().as_secs_f64(),
                         );
-                        scratch.give_updates_buf(updates);
-                        if traced {
-                            self.tracer.end(
-                                pid::ENGINE,
-                                w as u32,
-                                cat::PHASE,
-                                "route",
-                                Args::new().with("batches", batches.len()),
-                            );
-                        }
-                        {
-                            let mut st = cell.stats.lock();
-                            st.rounds += 1;
-                            st.compute_time += dt;
-                            st.updates_delivered += delivered;
-                            st.effective_updates += effective;
-                            st.redundant_updates += redundant;
-                            for (_, b) in &batches {
-                                st.batches_out += 1;
-                                st.updates_out += b.updates.len() as u64;
-                                st.bytes_out += (BATCH_HEADER_BYTES
-                                    + b.updates
-                                        .iter()
-                                        .map(|(_, v)| UPDATE_KEY_BYTES + prog.val_bytes(v))
-                                        .sum::<usize>())
-                                    as u64;
-                            }
-                        }
+                        r.fold_into(&mut cell.stats.lock());
                         cell.rounds.fetch_add(1, Ordering::Relaxed);
-                        *outs[i].lock() = batches;
-                        *next_work[i].lock() = local_work;
-                        if traced {
+                        *outs[i].lock() = (scratch.take_out(), r.local_work);
+                        if self.tracer.enabled() {
                             self.tracer.end(
                                 pid::ENGINE,
                                 w as u32,
@@ -812,56 +737,40 @@ where
                 }
             });
             // Barrier: deliver all batches, then find the next active set.
-            let mut next: Vec<usize> = Vec::new();
             let mut want_local: Vec<bool> = vec![false; m];
-            for (i, out) in outs.iter().enumerate() {
-                want_local[active[i]] = *next_work[i].lock();
-                let mut out = std::mem::take(&mut *out.lock());
-                for (dst, b) in out.drain(..) {
-                    if traced {
-                        self.tracer.instant(
-                            pid::ENGINE,
-                            active[i] as u32,
-                            cat::MSG,
-                            "batch",
-                            Args::new().with("dst", dst as u32).with("updates", b.updates.len()),
-                        );
-                    }
-                    let cell = &cells[dst as usize];
-                    {
-                        let mut st = cell.stats.lock();
-                        st.batches_in += 1;
-                        st.updates_in += b.updates.len() as u64;
-                    }
-                    let mut inbox = cell.inbox.lock();
-                    let eta = inbox.push(b);
-                    cell.eta.store(eta, Ordering::Relaxed);
+            for (out, &w) in outs.into_iter().zip(&active) {
+                let (mut batches, local_work) = out.into_inner();
+                want_local[w] = local_work;
+                for (dst, b) in batches.drain(..) {
+                    deliver(&self.tracer, cells, w, dst, b);
                 }
                 // Hand the (emptied) batch list back to its worker.
-                cells[active[i]].scratch.lock().out = out;
+                cells[w].scratch.lock().give_out(batches);
             }
-            next.extend(
-                (0..m).filter(|&w| cells[w].eta.load(Ordering::Relaxed) > 0 || want_local[w]),
-            );
-            active = next;
+            active = (0..m)
+                .filter(|&w| cells[w].eta.load(Ordering::Relaxed) > 0 || want_local[w])
+                .collect();
             superstep += 1;
         }
-
-        collect(cells, &self.opts.mode, start, aborted)
+        false
     }
 
     // ------------------------------------------------------------------
-    // Asynchronous path: AP / SSP / AAP / Hsync via δ.
+    // Asynchronous path: AP / SSP / AAP / Hsync via δ. Returns whether
+    // the `max_rounds` valve aborted the run.
     // ------------------------------------------------------------------
-    fn run_async<P, F>(&self, prog: &P, q: &P::Query, eval0: &F) -> (RunStats, Vec<P::State>)
+    fn run_async<P, F>(
+        &self,
+        step: &Step<'_, P, P::Query, F>,
+        cells: &[Cell<P::Val, P::State>],
+        nthreads: usize,
+        start: Instant,
+    ) -> bool
     where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State + Sync,
     {
-        let m = self.frags.len();
-        let start = Instant::now();
-        let cells: Vec<Cell<P::Val, P::State>> = (0..m).map(|_| Cell::new()).collect();
-        attach_shared_pool(&cells);
+        let m = cells.len();
         let rates = SharedRates::new(m);
         let l0 = match &self.opts.mode {
             Mode::Aap(cfg) => policy::l_floor(cfg, m),
@@ -880,38 +789,17 @@ where
             rmax: 0,
         });
         let cv = Condvar::new();
-        let nthreads = self.opts.threads.clamp(1, m.max(1));
-        if self.tracer.enabled() {
-            self.tracer.instant(
-                pid::ENGINE,
-                0,
-                cat::POLICY,
-                "mode",
-                Args::new()
-                    .with("mode", self.opts.mode.name())
-                    .with("workers", m)
-                    .with("threads", nthreads),
-            );
-        }
-
         std::thread::scope(|s| {
             for _ in 0..nthreads {
-                s.spawn(|| {
-                    self.async_worker_loop(prog, q, eval0, &cells, &coord, &cv, &rates, start)
-                });
+                s.spawn(|| self.async_worker_loop(step, cells, &coord, &cv, &rates, start));
             }
         });
-
-        let aborted = coord.lock().aborted;
-        collect(cells, &self.opts.mode, start, aborted)
+        coord.into_inner().aborted
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn async_worker_loop<P, F>(
         &self,
-        prog: &P,
-        q: &P::Query,
-        eval0: &F,
+        step: &Step<'_, P, P::Query, F>,
         cells: &[Cell<P::Val, P::State>],
         coord: &Mutex<Coord>,
         cv: &Condvar,
@@ -956,156 +844,37 @@ where
             };
 
             // --- execute one round of worker w ---
-            let frag = &self.frags[w];
-            let cell = &cells[w];
+            let (frag, cell) = (&self.frags[w], &cells[w]);
             let mut scratch = cell.scratch.lock();
             let now0 = start.elapsed().as_secs_f64();
             let t0 = Instant::now();
             let round = cell.rounds.load(Ordering::Relaxed);
             let traced = self.tracer.enabled();
-            if traced {
-                self.tracer.begin(
-                    pid::ENGINE,
-                    w as u32,
-                    cat::ROUND,
-                    "round",
-                    Args::new().with("round", round).with("frag", w),
-                );
-            }
-            // PEval (round 0) must NOT drain: messages from faster peers'
-            // PEval rounds may already be buffered and belong to IncEval.
-            let mut msgs = if round == 0 {
-                scratch.take_msgs()
-            } else {
-                if traced {
-                    self.tracer.begin(pid::ENGINE, w as u32, cat::PHASE, "drain", Args::new());
-                }
-                let info = {
-                    let mut inbox = cell.inbox.lock();
-                    let info = inbox.drain_into(prog, frag, &mut scratch);
-                    cell.eta.store(0, Ordering::Relaxed);
-                    info
-                };
-                // Keep send/recycle capacity in line with observed traffic
-                // so the next round's routing starts warm.
-                scratch.reserve_for_traffic(info.raw_updates, info.batches);
+            self.trace_round(w, round);
+            let drain = |s: &mut Scratch<P::Val>| {
+                let info = cell.drain(step.prog, frag, s);
                 let mut c = coord.lock();
-                let avg = rates.avg_rate();
-                let fast = rates.fast_count();
-                policy::on_drain(
-                    &self.opts.mode,
-                    &mut c.pstates[w],
-                    info.batches,
-                    now0,
-                    cells.len(),
-                    avg,
-                    fast,
-                );
-                if traced {
-                    self.tracer.end(
-                        pid::ENGINE,
-                        w as u32,
-                        cat::PHASE,
-                        "drain",
-                        Args::new().with("batches", info.batches).with("updates", info.raw_updates),
-                    );
-                }
-                scratch.take_msgs()
+                let (avg, fast) = (rates.avg_rate(), rates.fast_count());
+                let ps = &mut c.pstates[w];
+                policy::on_drain(&self.opts.mode, ps, info.batches, now0, cells.len(), avg, fast);
+                info
             };
-            let delivered = msgs.len() as u64;
-            let mut ctx = UpdateCtx::with_buffer(scratch.take_updates_buf());
-            let eval_name = if round == 0 { "eval0" } else { "inceval" };
-            if traced {
-                self.tracer.begin(pid::ENGINE, w as u32, cat::PHASE, eval_name, Args::new());
-            }
-            if round == 0 {
-                let st = eval0(w, frag, &mut ctx);
-                *cell.state.lock() = Some(st);
-            } else {
-                let mut guard = cell.state.lock();
-                let st = guard.as_mut().expect("state initialised by PEval");
-                prog.inceval(q, frag, st, &mut msgs, &mut ctx);
-            }
-            scratch.give_msgs(msgs);
-            let dt = t0.elapsed().as_secs_f64();
-            let (effective, redundant) = ctx.effect_counts();
-            let (work, sent) = (ctx.work(), ctx.len());
-            let (mut updates, local_work) = ctx.take();
-            if traced {
-                self.tracer.end(
-                    pid::ENGINE,
-                    w as u32,
-                    cat::PHASE,
-                    eval_name,
-                    Args::new()
-                        .with("effective", effective)
-                        .with("redundant", redundant)
-                        .with("work", work)
-                        .with("sent", sent),
-                );
-                self.tracer.begin(pid::ENGINE, w as u32, cat::PHASE, "route", Args::new());
-            }
-            let mut batches = std::mem::take(&mut scratch.out);
-            route_updates_into(prog, frag, round, &mut updates, &mut scratch, &mut batches);
-            scratch.give_updates_buf(updates);
-            if traced {
-                self.tracer.end(
-                    pid::ENGINE,
-                    w as u32,
-                    cat::PHASE,
-                    "route",
-                    Args::new().with("batches", batches.len()),
-                );
-            }
-
-            // --- self stats ---
-            {
-                let mut st = cell.stats.lock();
-                st.rounds += 1;
-                st.compute_time += dt;
-                st.updates_delivered += delivered;
-                st.effective_updates += effective;
-                st.redundant_updates += redundant;
-                for (_, b) in &batches {
-                    st.batches_out += 1;
-                    st.updates_out += b.updates.len() as u64;
-                    st.bytes_out += (BATCH_HEADER_BYTES
-                        + b.updates
-                            .iter()
-                            .map(|(_, v)| UPDATE_KEY_BYTES + prog.val_bytes(v))
-                            .sum::<usize>()) as u64;
-                }
-            }
+            let r = step.round(w, frag, round, &mut scratch, &mut cell.state.lock(), drain, |_| {
+                t0.elapsed().as_secs_f64()
+            });
+            r.fold_into(&mut cell.stats.lock());
 
             // --- deliver messages (push-based, immediate) ---
-            // `batches` comes out of routing sorted by destination with at
-            // most one batch per destination, so the wake-up list below
-            // needs no sort/dedup pass.
+            // Routing leaves at most one batch per destination, sorted by
+            // destination, so the wake-up list needs no sort/dedup pass.
+            let mut batches = scratch.take_out();
             let mut dests = std::mem::take(&mut scratch.touched_dests);
             dests.clear();
             for (dst, b) in batches.drain(..) {
-                if traced {
-                    self.tracer.instant(
-                        pid::ENGINE,
-                        w as u32,
-                        cat::MSG,
-                        "batch",
-                        Args::new().with("dst", dst as u32).with("updates", b.updates.len()),
-                    );
-                }
-                let dcell = &cells[dst as usize];
-                {
-                    let mut st = dcell.stats.lock();
-                    st.batches_in += 1;
-                    st.updates_in += b.updates.len() as u64;
-                }
-                let mut inbox = dcell.inbox.lock();
-                let eta = inbox.push(b);
-                dcell.eta.store(eta, Ordering::Relaxed);
-                drop(inbox);
+                deliver(&self.tracer, cells, w, dst, b);
                 dests.push(dst);
             }
-            scratch.out = batches;
+            scratch.give_out(batches);
             if traced {
                 self.tracer.end(pid::ENGINE, w as u32, cat::ROUND, "round", Args::new());
             }
@@ -1115,31 +884,25 @@ where
             {
                 let mut c = coord.lock();
                 cell.rounds.store(round + 1, Ordering::Relaxed);
-                if let Some(maxr) = self.opts.max_rounds {
-                    if round + 1 > maxr {
-                        c.done = true;
-                        c.aborted = true;
-                        cv.notify_all();
-                        return;
-                    }
+                if self.opts.max_rounds.is_some_and(|maxr| round + 1 > maxr) {
+                    c.done = true;
+                    c.aborted = true;
+                    cv.notify_all();
+                    return;
                 }
-                c.local_work[w] = local_work;
-                policy::on_round_complete(&self.opts.mode, &mut c.pstates[w], dt, now1);
-                rates.publish(w, c.pstates[w].s_rate, c.pstates[w].t_round);
-                if let Mode::Hsync(cfg) = &self.opts.mode {
-                    rates.hsync_on_round(cfg);
-                }
+                c.local_work[w] = r.local_work;
+                policy::finish_round(&self.opts.mode, &mut c.pstates[w], rates, w, r.compute, now1);
                 c.recompute_bounds(cells);
 
                 // Decide the fate of this worker.
-                let d = self.decide::<P>(&c, cells, rates, w, now1);
+                let (d, seen) = self.decide(&c, cells, rates, w, now1);
                 if traced {
                     self.tracer.instant(
                         pid::ENGINE,
                         w as u32,
                         cat::POLICY,
                         "decision",
-                        Args::new().with("decision", decision_name(&d)).with("round", round + 1),
+                        policy::decision_args(d, &seen),
                     );
                 }
                 apply_decision(&mut c, cells, cv, w, d, true);
@@ -1151,7 +914,7 @@ where
                     if matches!(c.status[dst], Status::Ready | Status::Running) {
                         continue;
                     }
-                    let d = self.decide::<P>(&c, cells, rates, dst, now1);
+                    let (d, _) = self.decide(&c, cells, rates, dst, now1);
                     apply_decision(&mut c, cells, cv, dst, d, false);
                 }
                 scratch.touched_dests = dests;
@@ -1167,7 +930,7 @@ where
                     .map(|(i, _)| i)
                     .collect();
                 for h in held {
-                    let d = self.decide::<P>(&c, cells, rates, h, now1);
+                    let (d, _) = self.decide(&c, cells, rates, h, now1);
                     apply_decision(&mut c, cells, cv, h, d, false);
                 }
 
@@ -1179,17 +942,15 @@ where
         }
     }
 
-    fn decide<P>(
+    /// Evaluate δ for worker `w`; also returns the inputs it saw.
+    fn decide<Val, St>(
         &self,
         c: &Coord,
-        cells: &[Cell<P::Val, P::State>],
+        cells: &[Cell<Val, St>],
         rates: &SharedRates,
         w: usize,
         now: f64,
-    ) -> Decision
-    where
-        P: PieProgram<V, E>,
-    {
+    ) -> (Decision, policy::DeltaInputs) {
         let inputs = policy::DeltaInputs {
             eta: cells[w].eta.load(Ordering::Relaxed),
             local_work: c.local_work[w],
@@ -1200,18 +961,38 @@ where
             avg_rate: rates.avg_rate(),
             hsync_sync: rates.hsync_sync(),
         };
-        policy::delta(&self.opts.mode, &c.pstates[w], &inputs)
+        (policy::delta(&self.opts.mode, &c.pstates[w], &inputs), inputs)
     }
 }
 
-/// Static label for a δ decision (trace instants must be heap-free).
-fn decision_name(d: &Decision) -> &'static str {
-    match d {
-        Decision::Run => "run",
-        Decision::Delay(_) => "delay",
-        Decision::Hold => "hold",
-        Decision::Inactive => "inactive",
+/// Push one routed batch into worker `dst`'s inbox, counting it on the
+/// receiver and refreshing its lock-free `ηi` mirror; `from` is the
+/// sender, whose track the `batch` instant goes on.
+fn deliver<Val, St>(
+    tracer: &Tracer,
+    cells: &[Cell<Val, St>],
+    from: usize,
+    dst: FragId,
+    b: Batch<Val>,
+) {
+    if tracer.enabled() {
+        tracer.instant(
+            pid::ENGINE,
+            from as u32,
+            cat::MSG,
+            "batch",
+            Args::new().with("dst", dst as u32).with("updates", b.updates.len()),
+        );
     }
+    let cell = &cells[dst as usize];
+    {
+        let mut st = cell.stats.lock();
+        st.batches_in += 1;
+        st.updates_in += b.updates.len() as u64;
+    }
+    let mut inbox = cell.inbox.lock();
+    let eta = inbox.push(b);
+    cell.eta.store(eta, Ordering::Relaxed);
 }
 
 /// Tear the per-worker cells down into run statistics + final states

@@ -11,9 +11,13 @@
 //!   instances of the delay-stretch function `δ` (Eq. 1);
 //! * [`inbox`] — the per-worker message buffer `Bx̄i` with staleness
 //!   tracking;
+//! * [`backend`] — the [`Backend`] trait both runtimes implement, which
+//!   serving sessions and the incremental drivers run on;
 //! * [`engine`] — the multithreaded shared-memory engine: `m` virtual
 //!   workers over `n` threads, push-based point-to-point messages, and the
 //!   inactive/terminate protocol;
+//! * [`step`] — one worker round (drain → `PEval`/`IncEval` → route →
+//!   counters), shared by the threaded engine and the simulator;
 //! * [`stats`] — the statistics collector (response time, communication,
 //!   rounds, stale computation);
 //! * [`publish`] — the epoch-published assembled-output handle behind
@@ -85,6 +89,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod engine;
 pub mod inbox;
 pub mod pie;
@@ -92,6 +97,7 @@ pub mod policy;
 pub mod publish;
 pub mod scratch;
 pub mod stats;
+pub mod step;
 pub mod theory;
 
 /// Convenient re-exports for engine users and PIE program authors.
@@ -103,6 +109,7 @@ pub mod prelude {
     pub use aap_graph::{FragId, Fragment, LocalId, Route, VertexId};
 }
 
+pub use backend::Backend;
 pub use engine::{
     AttachError, Engine, EngineOpts, PlanCache, PortableFragState, PortableRunState, RunOutput,
     RunState,

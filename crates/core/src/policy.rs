@@ -128,6 +128,18 @@ pub enum Decision {
     Inactive,
 }
 
+impl Decision {
+    /// Static label (trace args must be heap-free).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Decision::Run => "run",
+            Decision::Delay(_) => "delay",
+            Decision::Hold => "hold",
+            Decision::Inactive => "inactive",
+        }
+    }
+}
+
 /// Per-worker statistics driving `δ`: the paper's `ti`, `si`, `Li`,
 /// `T_idle` (§3).
 #[derive(Debug, Clone)]
@@ -295,8 +307,17 @@ pub fn on_drain(
     };
 }
 
-/// Update the round-time estimate `ti` when a round completes.
-pub fn on_round_complete(mode: &Mode, ps: &mut PolicyState, round_time: f64, now: f64) {
+/// Fold a completed round of worker `w` into the policy: update its
+/// round-time estimate `ti`, publish its `si`/`ti` to the shared mirrors
+/// δ reads, and (Hsync) let the global AP/BSP switch observe the round.
+pub fn finish_round(
+    mode: &Mode,
+    ps: &mut PolicyState,
+    rates: &SharedRates,
+    w: usize,
+    round_time: f64,
+    now: f64,
+) {
     let alpha = match mode {
         Mode::Aap(cfg) => cfg.ewma_alpha,
         _ => 0.3,
@@ -307,6 +328,20 @@ pub fn on_round_complete(mode: &Mode, ps: &mut PolicyState, round_time: f64, now
         alpha * round_time + (1.0 - alpha) * ps.t_round
     };
     ps.idle_since = now;
+    rates.publish(w, ps.s_rate, ps.t_round);
+    if let Mode::Hsync(cfg) = mode {
+        rates.hsync_on_round(cfg);
+    }
+}
+
+/// Trace args of one δ evaluation — the `decision` instant both runtimes
+/// emit: the verdict, and the `ri`, `ηi` and `rmin` it was reached on.
+pub fn decision_args(d: Decision, seen: &DeltaInputs) -> aap_trace::Args {
+    aap_trace::Args::new()
+        .with("decision", d.name())
+        .with("round", seen.ri)
+        .with("eta", seen.eta)
+        .with("rmin", seen.rmin)
 }
 
 /// Lock-free mirrors of each worker's `si`/`ti` estimates, so `δ`

@@ -18,7 +18,8 @@
 //!   tables; see `aap_graph::mutate`), vertex-cut partitions are
 //!   re-partitioned. Returns the per-fragment [`StateRemap`]s and seed
 //!   vertices a warm engine run needs;
-//! * [`run_incremental`] / [`run_incremental_sim`] — the drivers: apply
+//! * [`run_incremental`] — the driver, on either runtime (any
+//!   [`Backend`](aap_core::Backend)): apply
 //!   the delta to an engine's fragments, then warm-start `IncEval` from
 //!   the delta-affected vertices. Monotone-decreasing batches
 //!   (insertions, weight decreases) are exact by monotonicity
@@ -66,9 +67,8 @@ pub use apply::{
 };
 pub use ops::{DeltaBuilder, GraphDelta};
 pub use run::{
-    plan_incremental, plan_incremental_traced, remap_invalid, replay, replay_sim, run_incremental,
-    run_incremental_sim, run_incremental_sim_with, run_incremental_with, IncrementalOutput,
-    IncrementalSimOutput,
+    plan_incremental, remap_invalid, replay, run_incremental, run_incremental_with,
+    IncrementalOutput,
 };
 
 pub use aap_core::pie::WarmStrategy;

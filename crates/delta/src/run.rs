@@ -30,17 +30,17 @@
 
 use crate::apply::{apply_to_fragments_with, Applied};
 use crate::ops::GraphDelta;
-use aap_core::engine::{RunOutput, RunState};
+use aap_core::engine::RunState;
 use aap_core::pie::{DeltaChanges, WarmStart, WarmStrategy};
-use aap_core::{Engine, RunStats};
+use aap_core::{Backend, RunStats};
 use aap_graph::mutate::{stored_directed, weight_change, DeltaSummary, EditBuffers, WeightChange};
 use aap_graph::{Fragment, LocalId, VertexId};
-use aap_sim::{SimEngine, SimOutput, Timeline};
 use aap_trace::{cat, pid, Args, Tracer};
 
-/// Result of one incremental driver call on the threaded engine: the
-/// assembled answer and stats of [`RunOutput`], plus the delta that was
-/// actually applied and which evaluation strategy ran.
+/// Result of one incremental driver call: the assembled answer and run
+/// statistics, plus the delta that was actually applied and which
+/// evaluation strategy ran. On the simulator, `stats.makespan` is in
+/// virtual time units.
 #[derive(Debug)]
 pub struct IncrementalOutput<Out> {
     /// The assembled answer `ρ(Q, G ⊕ delta)`.
@@ -52,22 +52,6 @@ pub struct IncrementalOutput<Out> {
     pub applied: Applied,
     /// Which evaluation strategy the batch ran
     /// (`warm-decrease | warm-increase | cold`).
-    pub strategy: WarmStrategy,
-}
-
-/// Result of one incremental driver call on the simulator — the
-/// simulated mirror of [`IncrementalOutput`], with timelines.
-#[derive(Debug)]
-pub struct IncrementalSimOutput<Out> {
-    /// The assembled answer.
-    pub out: Out,
-    /// Statistics; `makespan` is in virtual time units.
-    pub stats: RunStats,
-    /// Per-worker activity history (for Gantt rendering).
-    pub timelines: Vec<Timeline>,
-    /// What the delta application did to the fragments.
-    pub applied: Applied,
-    /// Which evaluation strategy the batch ran.
     pub strategy: WarmStrategy,
 }
 
@@ -124,29 +108,16 @@ where
 /// invalidated sets (**old** local ids) — everything that must happen
 /// while the **pre-apply** fragments and states are still observable.
 /// This is the first half of what [`run_incremental`] does per batch;
-/// it is public so harnesses (the `dynamic` bench) can stage the
-/// sequence manually without re-implementing the weight-direction
-/// resolution. Pair it with [`remap_invalid`] after the apply.
-pub fn plan_incremental<V, E, P>(
-    frags: &[&Fragment<V, E>],
-    prog: &P,
-    q: &P::Query,
-    delta: &GraphDelta<V, E>,
-    state: &mut RunState<P::State>,
-) -> (WarmStrategy, Vec<Vec<LocalId>>)
-where
-    E: PartialOrd,
-    P: WarmStart<V, E>,
-{
-    plan_incremental_traced(frags, prog, q, delta, state, &Tracer::default())
-}
-
-/// [`plan_incremental`] emitting the batch's chosen strategy as a
-/// `strategy` instant (with the resolved batch shape as args) and, for
+/// it is public so harnesses (the `dynamic` bench, the session's
+/// multi-program apply) can stage the sequence themselves without
+/// re-implementing the weight-direction resolution. Pair it with
+/// [`remap_invalid`] after the apply.
+///
+/// An enabled `tracer` receives the chosen strategy as a `strategy`
+/// instant (with the resolved batch shape as args) and, for
 /// `warm-increase` batches, a `plan_invalidation` span around the
-/// program's affected-region planning — both on the delta track. The
-/// untraced entry point delegates here with a disabled tracer.
-pub fn plan_incremental_traced<V, E, P>(
+/// program's affected-region planning — both on the delta track.
+pub fn plan_incremental<V, E, P>(
     frags: &[&Fragment<V, E>],
     prog: &P,
     q: &P::Query,
@@ -221,8 +192,11 @@ pub fn remap_invalid(invalid_old: Vec<Vec<LocalId>>, applied: &Applied) -> Vec<V
         .collect()
 }
 
-/// Apply `delta` to the engine's fragments in place, then evaluate `q`
-/// incrementally from the retained `state`.
+/// Apply `delta` to the backend's fragments in place, then evaluate `q`
+/// incrementally from the retained `state` — on the threaded
+/// [`aap_core::Engine`] or, in virtual time, on `aap_sim::SimEngine`
+/// (whose cost model then prices the delta rounds too, including the
+/// invalidation round of a `warm-increase` batch).
 ///
 /// The strategy is chosen per batch (see the module docs): monotone
 /// batches and — for programs with an invalidation plan, like SSSP and
@@ -233,28 +207,29 @@ pub fn remap_invalid(invalid_old: Vec<Vec<LocalId>>, applied: &Applied) -> Vec<V
 /// The query must be the one the retained state was computed for.
 ///
 /// # Panics
-/// Panics if the engine's fragments are still shared by a previous run
+/// Panics if the backend's fragments are still shared by a previous run
 /// output (drop it first), or if `state` does not match the fragment
 /// count.
-pub fn run_incremental<V, E, P>(
-    engine: &mut Engine<V, E>,
+pub fn run_incremental<V, E, P, B>(
+    backend: &mut B,
     prog: &P,
     q: &P::Query,
     delta: &GraphDelta<V, E>,
     state: &mut RunState<P::State>,
 ) -> IncrementalOutput<P::Out>
 where
-    V: Clone + Send + Sync,
-    E: Clone + PartialOrd + Send + Sync,
+    V: Clone,
+    E: Clone + PartialOrd,
     P: WarmStart<V, E>,
+    B: Backend<V, E>,
 {
-    run_incremental_with(engine, prog, q, delta, state, &mut EditBuffers::default())
+    run_incremental_with(backend, prog, q, delta, state, &mut EditBuffers::default())
 }
 
 /// [`run_incremental`] with caller-owned pooled apply buffers, for
 /// streaming many batches.
-pub fn run_incremental_with<V, E, P>(
-    engine: &mut Engine<V, E>,
+pub fn run_incremental_with<V, E, P, B>(
+    backend: &mut B,
     prog: &P,
     q: &P::Query,
     delta: &GraphDelta<V, E>,
@@ -262,27 +237,28 @@ pub fn run_incremental_with<V, E, P>(
     bufs: &mut EditBuffers,
 ) -> IncrementalOutput<P::Out>
 where
-    V: Clone + Send + Sync,
-    E: Clone + PartialOrd + Send + Sync,
+    V: Clone,
+    E: Clone + PartialOrd,
     P: WarmStart<V, E>,
+    B: Backend<V, E>,
 {
     let (strategy, invalid_old) = {
-        let view: Vec<&Fragment<V, E>> = engine.fragments().iter().map(|a| &**a).collect();
-        plan_incremental(&view, prog, q, delta, state)
+        let view: Vec<&Fragment<V, E>> = backend.fragments().iter().map(|a| &**a).collect();
+        plan_incremental(&view, prog, q, delta, state, &Tracer::default())
     };
     let applied = {
-        let mut frags = engine
+        let mut frags = backend
             .fragments_mut()
-            .expect("engine fragments are shared; drop previous run outputs first");
+            .expect("backend fragments are shared; drop previous run outputs first");
         apply_to_fragments_with(&mut frags, delta, bufs)
     };
-    let RunOutput { out, stats } = if strategy.is_warm() {
+    let (out, stats) = if strategy.is_warm() {
         let invalid = remap_invalid(invalid_old, &applied);
-        engine.run_incremental(prog, q, &applied.remaps, &applied.seeds, &invalid, state)
+        backend.run_incremental(prog, q, &applied.remaps, &applied.seeds, &invalid, state)
     } else {
-        let (out, fresh) = engine.run_retained(prog, q);
+        let (out, stats, fresh) = backend.run_retained(prog, q);
         *state = fresh;
-        out
+        (out, stats)
     };
     // The run's state write invalidated the plan cache; re-seed it from
     // the assembled output so the next batch's plan can skip its gather.
@@ -295,104 +271,24 @@ where
 /// lands in exactly the state a continuous process would hold. Returns
 /// the output of the **last** delta round (`None` for an empty
 /// sequence; `state` is current either way).
-pub fn replay<'a, V, E, P, I>(
-    engine: &mut Engine<V, E>,
+pub fn replay<'a, V, E, P, B, I>(
+    backend: &mut B,
     prog: &P,
     q: &P::Query,
     deltas: I,
     state: &mut RunState<P::State>,
 ) -> Option<IncrementalOutput<P::Out>>
 where
-    V: Clone + Send + Sync + 'a,
-    E: Clone + PartialOrd + Send + Sync + 'a,
-    P: WarmStart<V, E>,
-    I: IntoIterator<Item = &'a GraphDelta<V, E>>,
-{
-    let mut bufs = EditBuffers::default();
-    let mut last = None;
-    for delta in deltas {
-        last = Some(run_incremental_with(engine, prog, q, delta, state, &mut bufs));
-    }
-    last
-}
-
-/// The simulated mirror of [`run_incremental`]: apply the delta to a
-/// [`SimEngine`]'s fragments and evaluate incrementally in virtual time,
-/// so cost models and timelines cover delta rounds — including the
-/// invalidation round of a `warm-increase` batch, whose reset/frontier
-/// scan the programs charge as work.
-pub fn run_incremental_sim<V, E, P>(
-    sim: &mut SimEngine<V, E>,
-    prog: &P,
-    q: &P::Query,
-    delta: &GraphDelta<V, E>,
-    state: &mut RunState<P::State>,
-) -> IncrementalSimOutput<P::Out>
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-    P: WarmStart<V, E>,
-{
-    run_incremental_sim_with(sim, prog, q, delta, state, &mut EditBuffers::default())
-}
-
-/// [`run_incremental_sim`] with caller-owned pooled apply buffers —
-/// the simulated mirror of [`run_incremental_with`], for streaming many
-/// batches without re-allocating the transient lookup structures.
-pub fn run_incremental_sim_with<V, E, P>(
-    sim: &mut SimEngine<V, E>,
-    prog: &P,
-    q: &P::Query,
-    delta: &GraphDelta<V, E>,
-    state: &mut RunState<P::State>,
-    bufs: &mut EditBuffers,
-) -> IncrementalSimOutput<P::Out>
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-    P: WarmStart<V, E>,
-{
-    let (strategy, invalid_old) = {
-        let view: Vec<&Fragment<V, E>> = sim.fragments().iter().map(|a| &**a).collect();
-        plan_incremental(&view, prog, q, delta, state)
-    };
-    let applied = {
-        let mut frags = sim
-            .fragments_mut()
-            .expect("simulator fragments are shared; drop previous run outputs first");
-        apply_to_fragments_with(&mut frags, delta, bufs)
-    };
-    let SimOutput { out, stats, timelines } = if strategy.is_warm() {
-        let invalid = remap_invalid(invalid_old, &applied);
-        sim.run_incremental(prog, q, &applied.remaps, &applied.seeds, &invalid, state)
-    } else {
-        let (out, fresh) = sim.run_retained(prog, q);
-        *state = fresh;
-        out
-    };
-    prog.refresh_plan_cache(&out, state.plan_cache_mut());
-    IncrementalSimOutput { out, stats, timelines, applied, strategy }
-}
-
-/// Replay a sequence of deltas on the simulator — the virtual-time
-/// mirror of [`replay`].
-pub fn replay_sim<'a, V, E, P, I>(
-    sim: &mut SimEngine<V, E>,
-    prog: &P,
-    q: &P::Query,
-    deltas: I,
-    state: &mut RunState<P::State>,
-) -> Option<IncrementalSimOutput<P::Out>>
-where
     V: Clone + 'a,
     E: Clone + PartialOrd + 'a,
     P: WarmStart<V, E>,
+    B: Backend<V, E>,
     I: IntoIterator<Item = &'a GraphDelta<V, E>>,
 {
     let mut bufs = EditBuffers::default();
     let mut last = None;
     for delta in deltas {
-        last = Some(run_incremental_sim_with(sim, prog, q, delta, state, &mut bufs));
+        last = Some(run_incremental_with(backend, prog, q, delta, state, &mut bufs));
     }
     last
 }
@@ -402,7 +298,7 @@ mod tests {
     use super::*;
     use crate::DeltaBuilder;
     use aap_algos::Sssp;
-    use aap_core::{EngineOpts, Mode};
+    use aap_core::{Engine, EngineOpts, Mode};
     use aap_graph::generate;
     use aap_graph::partition::{build_fragments_n, hash_partition};
 

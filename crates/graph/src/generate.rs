@@ -4,7 +4,7 @@
 //! synthetic graphs "following the power law and the small world property"
 //! (§7). Those datasets are not redistributable here, so each generator
 //! below produces a synthetic stand-in with the *shape* that drives the
-//! experiments (see DESIGN.md "Substitutions"):
+//! experiments (see the README's "Substitutions" section):
 //!
 //! * [`rmat`] — R-MAT power-law graphs (Friendster / UKWeb / GTgraph
 //!   stand-in);

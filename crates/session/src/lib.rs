@@ -52,7 +52,7 @@
 //! # Ok::<(), aap_session::SessionError>(())
 //! ```
 //!
-//! Durability is a builder flag: `.durable(dir)?` snapshots the
+//! Durability is a builder option: `.durability(policy)?` snapshots the
 //! partition at open, logs every applied delta, and
 //! [`Session::restore`] + the same `.program(...)` registrations bring
 //! a crashed process back to byte-identical state (see the
@@ -61,13 +61,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod durable;
 mod reader;
 mod slot;
 
 pub use aap_balance::{BalancePolicy, BalanceReport, MigrationPlan};
-pub use backend::Backend;
+pub use aap_core::Backend;
 pub use reader::SessionReader;
 
 // Crash-injection surface (test suites only): the durable vtable's
@@ -128,7 +127,8 @@ pub enum SessionError {
     /// The engine's fragments are still shared by a previous borrow
     /// (drop outstanding fragment references before `apply`).
     SharedFragments,
-    /// `checkpoint` on a session opened without `.durable(dir)`.
+    /// `checkpoint` on a session opened without
+    /// [`SessionBuilder::durability`].
     NotDurable,
     /// `rebalance` on a session opened without
     /// [`SessionBuilder::balance`].
@@ -139,7 +139,7 @@ pub enum SessionError {
     /// successful [`Session::checkpoint`] re-baselines the directory
     /// (the fresh snapshot embodies the unlogged delta).
     LogWedged,
-    /// `.durable(dir)` named a directory that already holds a session;
+    /// `.durability(policy)` named a directory that already holds a session;
     /// use [`Session::restore`] to resume it.
     AlreadyInitialized(PathBuf),
     /// `restore` named a directory without a session manifest.
@@ -197,7 +197,7 @@ impl std::fmt::Display for SessionError {
                 write!(f, "fragments are shared; drop outstanding fragment borrows first")
             }
             SessionError::NotDurable => {
-                write!(f, "session was opened without .durable(dir); nothing to checkpoint")
+                write!(f, "session was opened without .durability(policy); nothing to checkpoint")
             }
             SessionError::NoBalancePolicy => {
                 write!(f, "session was opened without .balance(policy); nothing to rebalance")
@@ -559,7 +559,7 @@ type Slots<V, E, B> = Vec<(String, Box<dyn AnySlot<V, E, B>>)>;
 /// the crate docs for the fresh-open shape; the durable round trip:
 ///
 /// ```
-/// use aap_session::{edge_cut, Session};
+/// use aap_session::{edge_cut, DurabilityPolicy, Session};
 /// use aap_algos::Sssp;
 /// use aap_delta::DeltaBuilder;
 /// use aap_graph::generate;
@@ -569,7 +569,7 @@ type Slots<V, E, B> = Vec<(String, Box<dyn AnySlot<V, E, B>>)>;
 /// let mut session = Session::builder(g)
 ///     .partition(edge_cut(3))
 ///     .program("sssp", Sssp)
-///     .durable(&dir)?
+///     .durability(DurabilityPolicy::new(&dir).differential(false))?
 ///     .open()?;
 /// let before = session.query::<Sssp>("sssp", &0)?;
 /// let mut b = DeltaBuilder::new();
@@ -786,22 +786,6 @@ where
         );
         self.programs.push((name, Box::new(ProgramFactory::new(prog))));
         self
-    }
-
-    /// Make the session durable in `dir` (created if missing) with the
-    /// original full-snapshot, foreground, manual-checkpoint behaviour:
-    /// shorthand for
-    /// `.durability(DurabilityPolicy::new(dir).differential(false))`.
-    /// Prefer [`SessionBuilder::durability`], which defaults to
-    /// differential checkpoints and exposes compaction, cadence, and
-    /// background cuts; this shim stays so existing call sites compile
-    /// (and behave) unchanged.
-    pub fn durable(self, dir: impl AsRef<Path>) -> Result<Self, SessionError>
-    where
-        V: Codec,
-        E: Codec,
-    {
-        self.durability(DurabilityPolicy::new(dir).differential(false))
     }
 
     /// Make the session durable under `policy` (its directory is
@@ -1083,7 +1067,7 @@ where
         self.slots.iter().map(|(n, _)| n.as_str())
     }
 
-    /// True when the session snapshots and logs (`.durable(dir)`).
+    /// True when the session snapshots and logs (`.durability(policy)`).
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
     }
@@ -2152,7 +2136,7 @@ mod tests {
         let mut session = Session::builder(g)
             .partition(edge_cut(2))
             .program("sssp", Sssp)
-            .durable(&dir)
+            .durability(DurabilityPolicy::new(&dir).differential(false))
             .unwrap()
             .open()
             .unwrap();

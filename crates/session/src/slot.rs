@@ -22,15 +22,15 @@
 //! ([`crate::Session::retain_query`]). Applying a delta clears the
 //! answer cache — those outputs described the pre-apply graph.
 
-use crate::backend::Backend;
 use crate::durable::StateCrcs;
 use crate::reader::{Fix, Published};
 use crate::SessionError;
 use aap_core::engine::RunState;
 use aap_core::pie::WarmStart;
 use aap_core::publish::EpochCell;
+use aap_core::Backend;
 use aap_core::{Engine, PortableFragState, RunStats, WarmStrategy};
-use aap_delta::{plan_incremental_traced, remap_invalid, Applied, GraphDelta};
+use aap_delta::{plan_incremental, remap_invalid, Applied, GraphDelta};
 use aap_graph::mutate::StateRemap;
 use aap_graph::{Fragment, LocalId};
 use aap_sim::SimEngine;
@@ -287,8 +287,7 @@ where
     ) -> Option<Planned> {
         let q = self.query.clone()?;
         let state = self.state.as_mut()?;
-        let (strategy, invalid_old) =
-            plan_incremental_traced(frags, &self.prog, &q, delta, state, tracer);
+        let (strategy, invalid_old) = plan_incremental(frags, &self.prog, &q, delta, state, tracer);
         Some(Planned { strategy, invalid_old })
     }
 

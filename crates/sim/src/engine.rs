@@ -12,13 +12,15 @@
 
 use crate::cost::CostModel;
 use crate::fuzz::ScheduleFuzz;
-use crate::timeline::{timeline_to_trace, Span, SpanKind, Timeline};
+use crate::timeline::{timeline_to_trace, Decided, Span, SpanKind, Timeline};
 use aap_core::engine::RunState;
 use aap_core::inbox::Inbox;
-use aap_core::pie::{route_updates_into, Batch, PieProgram, UpdateCtx, WarmStart};
+use aap_core::pie::{Batch, PieProgram, UpdateCtx, WarmStart};
 use aap_core::policy::{self, Decision, Mode, PolicyState, SharedRates};
 use aap_core::scratch::{Scratch, SharedPool};
-use aap_core::stats::{RunStats, WorkerStats, BATCH_HEADER_BYTES, UPDATE_KEY_BYTES};
+use aap_core::stats::{RunStats, WorkerStats};
+use aap_core::step::Step;
+use aap_core::Backend;
 use aap_graph::mutate::StateRemap;
 use aap_graph::{FragId, Fragment, LocalId};
 use aap_trace::{cat, pid, Args, Tracer};
@@ -160,13 +162,6 @@ impl<Val> Ord for Event<Val> {
     }
 }
 
-/// Event tracing for debugging policy behaviour: set `AAP_SIM_TRACE=1`.
-/// Cached: the check sits on the hot event loop.
-fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("AAP_SIM_TRACE").is_some())
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum WState {
     Computing,
@@ -183,7 +178,6 @@ struct SimWorker<Val, St> {
     local_work: bool,
     wstate: WState,
     gen: u64,
-    pending_out: Vec<(FragId, Batch<Val>)>,
     /// Reusable routing/drain buffers — the same zero-hash, zero-alloc
     /// message path the threaded engine runs (`aap_core::scratch`).
     scratch: Scratch<Val>,
@@ -322,9 +316,13 @@ impl<V, E> SimEngine<V, E> {
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
     {
+        // The round step's phase spans are wall-clock events; the
+        // simulator's trace is re-emitted from its virtual-time timelines.
+        let off = Tracer::default();
+        let step = Step { prog, q, eval0, tracer: &off };
         let run = match self.opts.mode {
-            Mode::Bsp => self.run_bsp(prog, q, eval0),
-            _ => self.run_async(prog, q, eval0),
+            Mode::Bsp => self.run_bsp(&step),
+            _ => self.run_async(&step),
         };
         // Timelines already hold the whole schedule in virtual time, so
         // tracing costs nothing during the event loop: one re-emission
@@ -360,7 +358,7 @@ impl<V, E> SimEngine<V, E> {
     // ------------------------------------------------------------------
     // BSP: lockstep supersteps with a barrier and post-barrier delivery.
     // ------------------------------------------------------------------
-    fn run_bsp<P, F>(&self, prog: &P, q: &P::Query, eval0: &F) -> SimRun<P::State>
+    fn run_bsp<P, F>(&self, step: &Step<'_, P, P::Query, F>) -> SimRun<P::State>
     where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
@@ -373,11 +371,9 @@ impl<V, E> SimEngine<V, E> {
         let mut active: Vec<usize> = (0..m).collect();
         let mut aborted = false;
         while !active.is_empty() {
-            if let Some(maxr) = self.opts.max_rounds {
-                if superstep > maxr {
-                    aborted = true;
-                    break;
-                }
+            if self.opts.max_rounds.is_some_and(|maxr| superstep > maxr) {
+                aborted = true;
+                break;
             }
             // Under fuzz, each superstep executes (and therefore routes)
             // in a seeded permutation of worker order, and the
@@ -387,20 +383,19 @@ impl<V, E> SimEngine<V, E> {
             let mut t_end = t;
             let mut all_batches: Vec<(FragId, Batch<P::Val>)> = Vec::new();
             for &w in &active {
-                let cost =
-                    self.execute_round(prog, q, eval0, &mut workers[w], w, t, superstep == 0);
+                let wk = &mut workers[w];
+                let cost = self.execute_round(step, wk, w, t, |_, _| {});
                 t_end = t_end.max(t + cost);
-                all_batches.append(&mut workers[w].pending_out);
-                workers[w].rounds += 1;
-                workers[w].wstate = WState::Inactive;
+                let mut out = wk.scratch.take_out();
+                all_batches.append(&mut out);
+                wk.scratch.give_out(out);
+                wk.rounds += 1;
+                wk.wstate = WState::Inactive;
             }
             let sent_any = !all_batches.is_empty();
             self.opts.schedule.shuffle_delivery(&mut all_batches, superstep as u64);
             for (dst, b) in all_batches {
-                let dw = &mut workers[dst as usize];
-                dw.stats.batches_in += 1;
-                dw.stats.updates_in += b.updates.len() as u64;
-                dw.inbox.push(b);
+                workers[dst as usize].receive(b);
             }
             t = if sent_any { t_end + self.opts.latency } else { t_end };
             active =
@@ -413,7 +408,7 @@ impl<V, E> SimEngine<V, E> {
     // ------------------------------------------------------------------
     // Async: AP / SSP / AAP / Hsync via the shared δ.
     // ------------------------------------------------------------------
-    fn run_async<P, F>(&self, prog: &P, q: &P::Query, eval0: &F) -> SimRun<P::State>
+    fn run_async<P, F>(&self, step: &Step<'_, P, P::Query, F>) -> SimRun<P::State>
     where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
@@ -429,23 +424,21 @@ impl<V, E> SimEngine<V, E> {
         for w in &mut workers {
             w.pstate = PolicyState::new(l0);
         }
-        let mut queue: BinaryHeap<Event<P::Val>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
+        let mut ev = EventLoop { step, rates: &rates, queue: BinaryHeap::new(), seq: 0 };
         let mut now = 0.0f64;
         let mut aborted = false;
 
         // PEval everywhere at t = 0.
-        #[allow(clippy::needless_range_loop)]
-        for w in 0..m {
-            let cost = self.execute_round(prog, q, eval0, &mut workers[w], w, 0.0, true);
-            seq += 1;
-            let tie = self.opts.schedule.tie(w, seq);
-            queue.push(Event { time: cost, tie, seq, kind: EventKind::Finish { w } });
+        for (w, wk) in workers.iter_mut().enumerate() {
+            let cost = self.execute_round(step, wk, w, 0.0, |_, _| {});
+            ev.seq += 1;
+            let tie = self.opts.schedule.tie(w, ev.seq);
+            ev.queue.push(Event { time: cost, tie, seq: ev.seq, kind: EventKind::Finish { w } });
         }
 
-        while let Some(ev) = queue.pop() {
-            now = ev.time;
-            match ev.kind {
+        while let Some(event) = ev.queue.pop() {
+            now = event.time;
+            match event.kind {
                 EventKind::Finish { w } => {
                     // Bounds before this event's mutations; if the event
                     // raises them, held (lockstep) workers are re-evaluated.
@@ -455,19 +448,15 @@ impl<V, E> SimEngine<V, E> {
                     // last finish-time bounds goes stale.
                     let b_pre = bounds(&workers);
                     workers[w].rounds += 1;
-                    if trace_enabled() {
-                        eprintln!("[{now:.3}] finish P{w} -> ri={}", workers[w].rounds);
-                    }
-                    if let Some(maxr) = self.opts.max_rounds {
-                        if workers[w].rounds > maxr {
-                            aborted = true;
-                            break;
-                        }
+                    if self.opts.max_rounds.is_some_and(|maxr| workers[w].rounds > maxr) {
+                        aborted = true;
+                        break;
                     }
                     // Dispatch the round's messages.
-                    let mut outs = std::mem::take(&mut workers[w].pending_out);
+                    let mut outs = workers[w].scratch.take_out();
                     for (dst, b) in outs.drain(..) {
-                        seq += 1;
+                        ev.seq += 1;
+                        let seq = ev.seq;
                         // Fuzzed delivery: stretch this batch's latency by
                         // a per-(link, message) factor in
                         // [1, 1 + reorder_window] — bounded reorder, never
@@ -475,37 +464,20 @@ impl<V, E> SimEngine<V, E> {
                         let latency = self.opts.latency
                             * self.opts.schedule.delivery_factor(w, dst as usize, seq);
                         let tie = self.opts.schedule.tie(dst as usize, seq);
-                        queue.push(Event {
+                        ev.queue.push(Event {
                             time: now + latency,
                             tie,
                             seq,
                             kind: EventKind::Arrive { w: dst as usize, batch: b },
                         });
                     }
-                    workers[w].scratch.give_out(outs);
-                    {
-                        let wk = &mut workers[w];
-                        let dt = now - wk.round_started;
-                        policy::on_round_complete(&self.opts.mode, &mut wk.pstate, dt, now);
-                        rates.publish(w, wk.pstate.s_rate, wk.pstate.t_round);
-                    }
-                    if let Mode::Hsync(cfg) = &self.opts.mode {
-                        rates.hsync_on_round(cfg);
-                    }
-                    workers[w].wstate = WState::Inactive; // provisional; δ below
+                    let wk = &mut workers[w];
+                    wk.scratch.give_out(outs);
+                    let dt = now - wk.round_started;
+                    policy::finish_round(&self.opts.mode, &mut wk.pstate, &rates, w, dt, now);
+                    wk.wstate = WState::Inactive; // provisional; δ below
                     let b = bounds(&workers);
-                    self.evaluate(
-                        prog,
-                        q,
-                        eval0,
-                        &mut workers,
-                        w,
-                        now,
-                        &rates,
-                        &mut queue,
-                        &mut seq,
-                        b,
-                    );
+                    self.evaluate(&mut ev, &mut workers, w, now, b);
                     // Round bounds moved: held workers may now be released.
                     let b2 = bounds(&workers);
                     if b2 != b_pre || b2 != b {
@@ -513,62 +485,22 @@ impl<V, E> SimEngine<V, E> {
                             .filter(|&h| h != w && workers[h].wstate == WState::Suspended)
                             .collect();
                         for h in held {
-                            self.evaluate(
-                                prog,
-                                q,
-                                eval0,
-                                &mut workers,
-                                h,
-                                now,
-                                &rates,
-                                &mut queue,
-                                &mut seq,
-                                b2,
-                            );
+                            self.evaluate(&mut ev, &mut workers, h, now, b2);
                         }
                     }
                 }
                 EventKind::Arrive { w, batch } => {
-                    if trace_enabled() {
-                        eprintln!("[{now:.3}] arrive P{w} (state {:?})", workers[w].wstate);
-                    }
-                    {
-                        let wk = &mut workers[w];
-                        wk.stats.batches_in += 1;
-                        wk.stats.updates_in += batch.updates.len() as u64;
-                        wk.inbox.push(batch);
-                    }
+                    workers[w].receive(batch);
                     if workers[w].wstate != WState::Computing {
                         let b = bounds(&workers);
-                        self.evaluate(
-                            prog,
-                            q,
-                            eval0,
-                            &mut workers,
-                            w,
-                            now,
-                            &rates,
-                            &mut queue,
-                            &mut seq,
-                            b,
-                        );
+                        self.evaluate(&mut ev, &mut workers, w, now, b);
                     }
                 }
                 EventKind::Wake { w, gen } => {
                     if workers[w].gen == gen && workers[w].wstate == WState::Suspended {
                         // Suspension exceeded DSi: activate (§3).
                         if !workers[w].inbox.is_empty() || workers[w].local_work {
-                            self.start_round(
-                                prog,
-                                q,
-                                eval0,
-                                &mut workers,
-                                w,
-                                now,
-                                &rates,
-                                &mut queue,
-                                &mut seq,
-                            );
+                            self.start_round(&mut ev, &mut workers, w, now);
                         } else {
                             let b_pre = bounds(&workers);
                             end_suspend(&mut workers[w], now);
@@ -579,18 +511,7 @@ impl<V, E> SimEngine<V, E> {
                                     .filter(|&h| workers[h].wstate == WState::Suspended)
                                     .collect();
                                 for h in held {
-                                    self.evaluate(
-                                        prog,
-                                        q,
-                                        eval0,
-                                        &mut workers,
-                                        h,
-                                        now,
-                                        &rates,
-                                        &mut queue,
-                                        &mut seq,
-                                        b2,
-                                    );
+                                    self.evaluate(&mut ev, &mut workers, h, now, b2);
                                 }
                             }
                         }
@@ -625,19 +546,14 @@ impl<V, E> SimEngine<V, E> {
     /// Evaluate δ for worker `w` and act on the decision, given the
     /// current round bounds (computed once per event — evaluating each
     /// suspended worker must not rescan the cluster, or large-`m` runs
-    /// become quadratic).
-    #[allow(clippy::too_many_arguments)]
+    /// become quadratic). With a tracer attached, the evaluation is
+    /// recorded in the worker's timeline.
     fn evaluate<P, F>(
         &self,
-        prog: &P,
-        q: &P::Query,
-        eval0: &F,
+        ev: &mut EventLoop<'_, Step<'_, P, P::Query, F>, P::Val>,
         workers: &mut [SimWorker<P::Val, P::State>],
         w: usize,
         now: f64,
-        rates: &SharedRates,
-        queue: &mut BinaryHeap<Event<P::Val>>,
-        seq: &mut u64,
         (rmin, rmax): (u32, u32),
     ) where
         P: PieProgram<V, E>,
@@ -651,29 +567,26 @@ impl<V, E> SimEngine<V, E> {
             rmin,
             rmax,
             now,
-            avg_rate: rates.avg_rate(),
-            hsync_sync: rates.hsync_sync(),
+            avg_rate: ev.rates.avg_rate(),
+            hsync_sync: ev.rates.hsync_sync(),
         };
         let d = policy::delta(&self.opts.mode, &workers[w].pstate, &inputs);
-        if trace_enabled() {
-            eprintln!(
-                "[{now:.3}] eval P{w} ri={} eta={} rmin={rmin} rmax={rmax} -> {d:?}",
-                workers[w].rounds, inputs.eta
-            );
+        if self.tracer.enabled() {
+            workers[w].timeline.decisions.push(Decided { at: now, decision: d, seen: inputs });
         }
         match d {
             Decision::Run => {
-                self.start_round(prog, q, eval0, workers, w, now, rates, queue, seq);
+                self.start_round(ev, workers, w, now);
             }
             Decision::Delay(ds) => {
                 begin_suspend(&mut workers[w], now);
                 workers[w].wstate = WState::Suspended;
                 workers[w].gen += 1;
-                *seq += 1;
-                queue.push(Event {
+                ev.seq += 1;
+                ev.queue.push(Event {
                     time: now + ds,
-                    tie: self.opts.schedule.tie(w, *seq),
-                    seq: *seq,
+                    tie: self.opts.schedule.tie(w, ev.seq),
+                    seq: ev.seq,
                     kind: EventKind::Wake { w, gen: workers[w].gen },
                 });
             }
@@ -690,51 +603,38 @@ impl<V, E> SimEngine<V, E> {
     }
 
     /// Start a round at virtual time `t`: drain, execute, schedule Finish.
-    #[allow(clippy::too_many_arguments)]
     fn start_round<P, F>(
         &self,
-        prog: &P,
-        q: &P::Query,
-        eval0: &F,
+        ev: &mut EventLoop<'_, Step<'_, P, P::Query, F>, P::Val>,
         workers: &mut [SimWorker<P::Val, P::State>],
         w: usize,
         t: f64,
-        rates: &SharedRates,
-        queue: &mut BinaryHeap<Event<P::Val>>,
-        seq: &mut u64,
     ) where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
     {
         end_suspend(&mut workers[w], t);
-        let m = workers.len();
-        {
-            let wk = &mut workers[w];
-            let avg = rates.avg_rate();
-            let fast = rates.fast_count();
-            let eta = wk.inbox.eta();
-            policy::on_drain(&self.opts.mode, &mut wk.pstate, eta, t, m, avg, fast);
-        }
-        let is_peval = workers[w].rounds == 0;
-        let cost = self.execute_round(prog, q, eval0, &mut workers[w], w, t, is_peval);
+        let (m, avg, fast) = (workers.len(), ev.rates.avg_rate(), ev.rates.fast_count());
+        let on_drain = |ps: &mut PolicyState, eta: usize| {
+            policy::on_drain(&self.opts.mode, ps, eta, t, m, avg, fast);
+        };
+        let cost = self.execute_round(ev.step, &mut workers[w], w, t, on_drain);
         workers[w].gen += 1; // cancel pending wakes
-        *seq += 1;
-        let tie = self.opts.schedule.tie(w, *seq);
-        queue.push(Event { time: t + cost, tie, seq: *seq, kind: EventKind::Finish { w } });
+        ev.seq += 1;
+        let tie = self.opts.schedule.tie(w, ev.seq);
+        ev.queue.push(Event { time: t + cost, tie, seq: ev.seq, kind: EventKind::Finish { w } });
     }
 
-    /// Drain + run PEval/IncEval + route updates; returns the round cost and
-    /// leaves the batches in `pending_out`.
-    #[allow(clippy::too_many_arguments)]
+    /// One round of worker `w` through the shared [`Step`], priced by the
+    /// cost model; `on_drain` sees the batches the drain took. Returns the
+    /// round cost and leaves the routed batches in the worker's scratch.
     fn execute_round<P, F>(
         &self,
-        prog: &P,
-        q: &P::Query,
-        eval0: &F,
+        step: &Step<'_, P, P::Query, F>,
         wk: &mut SimWorker<P::Val, P::State>,
         w: usize,
         t: f64,
-        is_peval: bool,
+        on_drain: impl FnOnce(&mut PolicyState, usize),
     ) -> f64
     where
         P: PieProgram<V, E>,
@@ -742,69 +642,45 @@ impl<V, E> SimEngine<V, E> {
     {
         let frag = &self.frags[w];
         let round = wk.rounds;
-        let raw_in = if is_peval {
-            // PEval consumes no messages; anything already buffered (only
-            // possible with zero latency/cost) belongs to IncEval.
-            0
-        } else {
-            let info = wk.inbox.drain_into(prog, frag, &mut wk.scratch);
-            // Keep send/recycle capacity in line with observed traffic.
-            wk.scratch.reserve_for_traffic(info.raw_updates, info.batches);
-            info.raw_updates
+        let (inbox, pstate) = (&mut wk.inbox, &mut wk.pstate);
+        let drain = |s: &mut Scratch<P::Val>| {
+            let info = inbox.drain_into(step.prog, frag, s);
+            on_drain(pstate, info.batches);
+            info
         };
-        // The scratch message buffer is empty outside drain/IncEval, so for
-        // PEval this is an empty (recycled) vector.
-        let mut msgs = wk.scratch.take_msgs();
-        let delivered = msgs.len();
-        let mut ctx = UpdateCtx::with_buffer(wk.scratch.take_updates_buf());
-        if is_peval {
-            let st = eval0(w, frag, &mut ctx);
-            wk.state = Some(st);
-        } else {
-            let st = wk.state.as_mut().expect("PEval ran first");
-            prog.inceval(q, frag, st, &mut msgs, &mut ctx);
-        }
-        wk.scratch.give_msgs(msgs);
-        let (effective, redundant) = ctx.effect_counts();
-        let charged = ctx.work();
-        let (mut updates, local_work) = ctx.take();
-        let emitted = updates.len();
-        let mut batches = wk.scratch.take_out();
-        route_updates_into(prog, frag, round, &mut updates, &mut wk.scratch, &mut batches);
-        wk.scratch.give_updates_buf(updates);
-        wk.local_work = local_work;
-        wk.stats.rounds += 1;
-        wk.stats.updates_delivered += delivered as u64;
-        wk.stats.effective_updates += effective;
-        wk.stats.redundant_updates += redundant;
-        for (_, b) in &batches {
-            wk.stats.batches_out += 1;
-            wk.stats.updates_out += b.updates.len() as u64;
-            wk.stats.bytes_out += (BATCH_HEADER_BYTES
-                + b.updates
-                    .iter()
-                    .map(|(_, v)| UPDATE_KEY_BYTES + prog.val_bytes(v))
-                    .sum::<usize>()) as u64;
-        }
-        let old = std::mem::replace(&mut wk.pending_out, batches);
-        wk.scratch.give_out(old);
-        let work = if charged > 0 { charged } else { (delivered + emitted) as u64 };
+        // Rounds whose kernel charges no work are priced by their traffic.
         // Fuzzed speed skew composes onto the configured model: the same
         // seed always slows the same workers by the same factor.
-        let cost = self.opts.cost.round_cost(w, work, raw_in) * self.opts.schedule.speed_factor(w);
-        wk.stats.compute_time += cost;
+        let cost = |r: &aap_core::step::RoundReport| {
+            let work = if r.work > 0 { r.work } else { r.delivered + r.sent as u64 };
+            self.opts.cost.round_cost(w, work, r.drained_updates)
+                * self.opts.schedule.speed_factor(w)
+        };
+        let r = step.round(w, frag, round, &mut wk.scratch, &mut wk.state, drain, cost);
+        r.fold_into(&mut wk.stats);
+        wk.local_work = r.local_work;
         wk.round_started = t;
         wk.wstate = WState::Computing;
         wk.timeline.spans.push(Span {
             start: t,
-            end: t + cost,
+            end: t + r.compute,
             round,
-            work: charged,
-            sent: emitted as u64,
+            work: r.work,
+            sent: r.sent as u64,
             kind: SpanKind::Compute,
         });
-        cost
+        r.compute
     }
+}
+
+/// The asynchronous event loop's state that a δ evaluation acts on:
+/// starting a round needs the step, and suspending or starting schedules
+/// an event (`seq` numbers them in push order).
+struct EventLoop<'a, S, Val> {
+    step: &'a S,
+    rates: &'a SharedRates,
+    queue: BinaryHeap<Event<Val>>,
+    seq: u64,
 }
 
 /// Tear the simulated workers down into run statistics, final states and
@@ -827,6 +703,15 @@ fn finish<Val, St>(
     (stats, states, timelines)
 }
 
+impl<Val, St> SimWorker<Val, St> {
+    /// Buffer one arriving batch, counting it on this worker.
+    fn receive(&mut self, b: Batch<Val>) {
+        self.stats.batches_in += 1;
+        self.stats.updates_in += b.updates.len() as u64;
+        self.inbox.push(b);
+    }
+}
+
 fn new_worker<Val, St>() -> SimWorker<Val, St> {
     SimWorker {
         inbox: Inbox::default(),
@@ -837,7 +722,6 @@ fn new_worker<Val, St>() -> SimWorker<Val, St> {
         local_work: false,
         wstate: WState::Computing,
         gen: 0,
-        pending_out: Vec::new(),
         scratch: Scratch::default(),
         timeline: Timeline::default(),
         suspend_started: None,
@@ -891,6 +775,58 @@ fn end_suspend<Val, St>(wk: &mut SimWorker<Val, St>, now: f64) {
                 kind: SpanKind::Suspend,
             });
         }
+    }
+}
+
+impl<V, E> Backend<V, E> for SimEngine<V, E>
+where
+    V: 'static,
+    E: 'static,
+{
+    fn fragments(&self) -> &[Arc<Fragment<V, E>>] {
+        SimEngine::fragments(self)
+    }
+
+    fn fragments_mut(&mut self) -> Option<Vec<&mut Fragment<V, E>>> {
+        SimEngine::fragments_mut(self)
+    }
+
+    fn fragments_cow(&mut self) -> Vec<&mut Fragment<V, E>>
+    where
+        V: Clone,
+        E: Clone,
+    {
+        SimEngine::fragments_cow(self)
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        SimEngine::set_tracer(self, tracer);
+    }
+
+    fn run_retained<P>(&self, prog: &P, q: &P::Query) -> (P::Out, RunStats, RunState<P::State>)
+    where
+        P: WarmStart<V, E>,
+    {
+        let (SimOutput { out, stats, timelines: _ }, state) =
+            SimEngine::run_retained(self, prog, q);
+        (out, stats, state)
+    }
+
+    fn run_incremental<P>(
+        &self,
+        prog: &P,
+        q: &P::Query,
+        remaps: &[StateRemap],
+        seeds: &[Vec<LocalId>],
+        invalid: &[Vec<LocalId>],
+        state: &mut RunState<P::State>,
+    ) -> (P::Out, RunStats)
+    where
+        P: WarmStart<V, E>,
+    {
+        let SimOutput { out, stats, timelines: _ } =
+            SimEngine::run_incremental(self, prog, q, remaps, seeds, invalid, state);
+        (out, stats)
     }
 }
 

@@ -21,11 +21,12 @@
 //!   delivery interleavings and per-worker speed, so one `u64` seed
 //!   reproduces one exact hostile schedule for Church–Rosser checks.
 //!
-//! This is the "simulate what you don't have" substitution documented in
-//! DESIGN.md: stragglers and staleness are functions of compute skew and
-//! latency, which are inputs here, so large-cluster *behaviour* (rounds,
-//! message counts, who waits for whom, relative makespans) is reproduced
-//! faithfully even though virtual time is not wall-clock time.
+//! This is the "simulate what you don't have" substitution listed in the
+//! README's "Substitutions" section: stragglers and staleness are
+//! functions of compute skew and latency, which are inputs here, so
+//! large-cluster *behaviour* (rounds, message counts, who waits for whom,
+//! relative makespans) is reproduced faithfully even though virtual time
+//! is not wall-clock time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,6 +2,7 @@
 //! figures (Fig 1(a), Fig 7), and export to the Chrome trace-event
 //! format so simulated runs open in the same viewer as wall-clock ones.
 
+use aap_core::policy::{decision_args, Decision, DeltaInputs};
 use aap_trace::{cat, pid, Args, Phase, TraceEvent};
 
 /// What a worker was doing during a span of virtual time.
@@ -32,11 +33,25 @@ pub struct Span {
     pub kind: SpanKind,
 }
 
+/// One δ evaluation of a worker.
+#[derive(Debug, Clone, Copy)]
+pub struct Decided {
+    /// Virtual time of the evaluation.
+    pub at: f64,
+    /// δ's verdict.
+    pub decision: Decision,
+    /// The inputs it was reached on.
+    pub seen: DeltaInputs,
+}
+
 /// Activity history of one worker.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// Spans in chronological order.
     pub spans: Vec<Span>,
+    /// δ evaluations in chronological order; recorded only while the
+    /// simulator has a tracer attached.
+    pub decisions: Vec<Decided>,
 }
 
 impl Timeline {
@@ -107,13 +122,16 @@ pub const TRACE_US_PER_UNIT: f64 = 1000.0;
 /// number and, on their end event, the kernel `work` charged and the
 /// updates `sent` — the same args the threaded engine puts on its
 /// `eval0`/`inceval` spans; policy suspensions become `policy`-category
-/// spans. Feed the result to [`aap_trace::chrome_trace_json`] — or into
-/// an enabled [`aap_trace::Tracer`] via `emit` to merge with wall-clock
-/// tracks — and the simulated schedule opens in Perfetto next to real
-/// runs.
+/// spans, and recorded δ evaluations `decision` instants with the
+/// threaded engine's args. Feed the result to
+/// [`aap_trace::chrome_trace_json`] — or into an enabled
+/// [`aap_trace::Tracer`] via `emit` to merge with wall-clock tracks — and
+/// the simulated schedule opens in Perfetto next to real runs.
 pub fn timeline_to_trace(timelines: &[Timeline]) -> Vec<TraceEvent> {
-    let mut out = Vec::with_capacity(2 * timelines.iter().map(|t| t.spans.len()).sum::<usize>());
+    let len = timelines.iter().map(|t| 2 * t.spans.len() + t.decisions.len()).sum();
+    let mut out = Vec::with_capacity(len);
     for (w, t) in timelines.iter().enumerate() {
+        let track = out.len();
         for s in &t.spans {
             let (name, category) = match s.kind {
                 SpanKind::Compute => ("compute", cat::ROUND),
@@ -146,6 +164,20 @@ pub fn timeline_to_trace(timelines: &[Timeline]) -> Vec<TraceEvent> {
                 },
             });
         }
+        for d in &t.decisions {
+            out.push(TraceEvent {
+                name: "decision",
+                cat: cat::POLICY,
+                ph: Phase::Instant,
+                ts_us: (d.at * TRACE_US_PER_UNIT).round() as u64,
+                pid: pid::SIM,
+                tid: w as u32,
+                args: decision_args(d.decision, &d.seen),
+            });
+        }
+        // Spans are already chronological; the stable sort slots each
+        // decision in after the span events of its instant.
+        out[track..].sort_by_key(|e| e.ts_us);
     }
     out
 }
@@ -167,8 +199,9 @@ mod tests {
                     span(3.0, 4.0, 0, SpanKind::Suspend),
                     span(4.0, 7.0, 1, SpanKind::Compute),
                 ],
+                ..Timeline::default()
             },
-            Timeline { spans: vec![span(0.0, 6.0, 0, SpanKind::Compute)] },
+            Timeline { spans: vec![span(0.0, 6.0, 0, SpanKind::Compute)], ..Timeline::default() },
         ];
         let s = render_gantt(&t, 40);
         assert_eq!(s.lines().count(), 3);
@@ -193,7 +226,10 @@ mod tests {
     #[test]
     fn gantt_handles_zero_width() {
         // Degenerate width must not underflow or panic the span clamp.
-        let t = vec![Timeline { spans: vec![span(0.0, 3.0, 0, SpanKind::Compute)] }];
+        let t = vec![Timeline {
+            spans: vec![span(0.0, 3.0, 0, SpanKind::Compute)],
+            ..Timeline::default()
+        }];
         let s = render_gantt(&t, 0);
         assert_eq!(s.lines().count(), 2);
         assert!(!s.contains('#'), "no cells to paint at width 0");
@@ -211,8 +247,9 @@ mod tests {
                     span(3.0, 4.5, 0, SpanKind::Suspend),
                     span(4.5, 7.0, 1, SpanKind::Compute),
                 ],
+                ..Timeline::default()
             },
-            Timeline { spans: vec![span(0.0, 6.0, 0, SpanKind::Compute)] },
+            Timeline { spans: vec![span(0.0, 6.0, 0, SpanKind::Compute)], ..Timeline::default() },
         ];
         let evs = timeline_to_trace(&t);
         assert_eq!(evs.len(), 8, "one B and one E per span");
@@ -252,6 +289,7 @@ mod tests {
                 span(5.0, 6.0, 1, SpanKind::Compute),
                 span(3.0, 5.0, 0, SpanKind::Suspend),
             ],
+            ..Timeline::default()
         };
         assert!((t.compute_time() - 4.0).abs() < 1e-12);
         assert_eq!(t.rounds(), 2);

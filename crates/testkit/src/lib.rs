@@ -463,8 +463,7 @@ where
     let mut bufs = EditBuffers::default();
     let mut g_cur = g0.clone();
     for (i, delta) in deltas.iter().enumerate() {
-        let r =
-            aap_delta::run_incremental_sim_with(&mut sim, prog, q, delta, &mut state, &mut bufs);
+        let r = aap_delta::run_incremental_with(&mut sim, prog, q, delta, &mut state, &mut bufs);
         report.strategies.push(r.strategy);
         report.incremental_updates += r.stats.total_updates();
         g_cur = apply_to_graph(&g_cur, delta);
@@ -478,7 +477,7 @@ where
             r.strategy
         );
         for (seed, fsim, fstate) in &mut fuzzed {
-            let fr = aap_delta::run_incremental_sim_with(fsim, prog, q, delta, fstate, &mut bufs);
+            let fr = aap_delta::run_incremental_with(fsim, prog, q, delta, fstate, &mut bufs);
             assert_eq!(
                 fr.out, r.out,
                 "{label}: batch {i} fuzzed warm lineage diverged [sim, {kind:?}, \
@@ -739,7 +738,7 @@ pub fn assert_session_equiv(
 
 /// The simulator mirror of [`assert_session_equiv`]: the same session
 /// lifecycle on `open_sim()`, compared after every batch against the
-/// hand-rolled `SimEngine` + `run_incremental_sim_with` composition in
+/// hand-rolled `SimEngine` + `run_incremental_with` composition in
 /// deterministic virtual time (no durability — the threaded driver
 /// already proves the file cycle; this proves the backend genericity).
 ///
@@ -789,10 +788,9 @@ pub fn assert_session_equiv_sim(
     let mut bufs = EditBuffers::default();
     for (i, delta) in deltas.iter().enumerate() {
         session.apply(delta).unwrap_or_else(|e| panic!("{label}: sim apply {i}: {e}"));
-        let rs = aap_delta::run_incremental_sim_with(
-            &mut sim_s, &Sssp, &src, delta, &mut st_s, &mut bufs,
-        );
-        let rc = aap_delta::run_incremental_sim_with(
+        let rs =
+            aap_delta::run_incremental_with(&mut sim_s, &Sssp, &src, delta, &mut st_s, &mut bufs);
+        let rc = aap_delta::run_incremental_with(
             &mut sim_c,
             &ConnectedComponents,
             &(),
@@ -821,8 +819,7 @@ pub fn assert_session_equiv_sim(
             "{label}: sim batch {i} CC state"
         );
         for (seed, fsim, fstate) in &mut fuzzed {
-            let fr =
-                aap_delta::run_incremental_sim_with(fsim, &Sssp, &src, delta, fstate, &mut bufs);
+            let fr = aap_delta::run_incremental_with(fsim, &Sssp, &src, delta, fstate, &mut bufs);
             assert_eq!(
                 fr.out, rs.out,
                 "{label}: sim batch {i} fuzzed SSSP lineage diverged \

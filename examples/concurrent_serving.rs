@@ -47,7 +47,7 @@ fn main() -> Result<(), SessionError> {
         .partition(edge_cut(4))
         .mode(Mode::aap())
         .program("sssp", Sssp)
-        .durable(&dir)?
+        .durability(DurabilityPolicy::new(&dir).differential(false))?
         .open()?;
     session.query::<Sssp>("sssp", &0)?;
     println!("retained query 0 materialized (version {})", session.version());

@@ -59,7 +59,7 @@ fn main() -> Result<(), SessionError> {
         .mode(Mode::aap())
         .program("sssp", Sssp)
         .program("cc", ConnectedComponents)
-        .durable(&dir)?
+        .durability(DurabilityPolicy::new(&dir).differential(false))?
         .open()?;
     println!(
         "session open: programs = [{}], durable epoch {:?}",

@@ -33,7 +33,7 @@ fn main() -> Result<(), SessionError> {
         .partition(edge_cut(8))
         .mode(Mode::aap())
         .program("sssp", Sssp)
-        .durable(&dir)?
+        .durability(DurabilityPolicy::new(&dir).differential(false))?
         .open()?;
     println!("durable open (partition + epoch-0 snapshot): {:.2} ms", ms(t));
 

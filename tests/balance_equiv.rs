@@ -242,7 +242,7 @@ fn crash_around_rebalance_restores_consistent_state() {
             .program("sssp", Sssp)
             .program("cc", ConnectedComponents)
             .balance(BalancePolicy::new().max_imbalance(1.05))
-            .durable(&dir)
+            .durability(DurabilityPolicy::new(&dir).differential(false))
             .unwrap()
             .open()
             .unwrap();

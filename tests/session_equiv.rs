@@ -146,7 +146,7 @@ fn session_error_surface() {
     let s1 = Session::builder(g.clone())
         .partition(edge_cut(2))
         .program("sssp", Sssp)
-        .durable(&dir)
+        .durability(DurabilityPolicy::new(&dir).differential(false))
         .unwrap()
         .open()
         .unwrap();
@@ -154,7 +154,7 @@ fn session_error_surface() {
     let err = Session::builder(g)
         .partition(edge_cut(2))
         .program("sssp", Sssp)
-        .durable(&dir)
+        .durability(DurabilityPolicy::new(&dir).differential(false))
         .unwrap()
         .open()
         .err()
@@ -232,7 +232,7 @@ fn restore_survives_a_torn_log_tail() {
     let mut session = Session::builder(g.clone())
         .partition(edge_cut(2))
         .program("sssp", Sssp)
-        .durable(&dir)
+        .durability(DurabilityPolicy::new(&dir).differential(false))
         .unwrap()
         .open()
         .unwrap();
@@ -276,7 +276,7 @@ fn restore_refuses_unregistered_program_state() {
         .partition(edge_cut(2))
         .program("sssp", Sssp)
         .program("cc", ConnectedComponents)
-        .durable(&dir)
+        .durability(DurabilityPolicy::new(&dir).differential(false))
         .unwrap()
         .open()
         .unwrap();
@@ -315,7 +315,7 @@ fn restore_resumes_the_checkpointed_query() {
     let mut session = Session::builder(g.clone())
         .partition(edge_cut(3))
         .program("sssp", Sssp)
-        .durable(&dir)
+        .durability(DurabilityPolicy::new(&dir).differential(false))
         .unwrap()
         .open()
         .unwrap();
@@ -372,7 +372,7 @@ fn stale_epoch_files_are_swept() {
     let mut session = Session::builder(g)
         .partition(edge_cut(2))
         .program("sssp", Sssp)
-        .durable(&dir)
+        .durability(DurabilityPolicy::new(&dir).differential(false))
         .unwrap()
         .open()
         .unwrap();

@@ -1,7 +1,8 @@
 //! The two runtimes must agree: the discrete-event simulator and the
 //! multithreaded engine execute the same PIE programs over the same
 //! fragments, so their *outputs* must be identical (times differ — one is
-//! virtual, one is wall-clock).
+//! virtual, one is wall-clock). Under BSP both are deterministic, so their
+//! per-worker counters must agree too.
 
 use grape_aap::algos::{seq, Bfs, ConnectedComponents, PageRank, Sssp};
 use grape_aap::graph::partition::{build_fragments, hash_partition};
@@ -107,4 +108,67 @@ fn sim_stats_are_deterministic_but_threaded_times_vary() {
     assert_eq!(a.stats.total_updates(), b.stats.total_updates());
     assert_eq!(a.stats.total_rounds(), b.stats.total_rounds());
     assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
+}
+
+/// The per-worker counters of one run, in worker order.
+fn counters(stats: &RunStats) -> Vec<[u64; 9]> {
+    stats
+        .workers
+        .iter()
+        .map(|w| {
+            [
+                w.rounds,
+                w.batches_in,
+                w.updates_in,
+                w.updates_delivered,
+                w.batches_out,
+                w.updates_out,
+                w.bytes_out,
+                w.effective_updates,
+                w.redundant_updates,
+            ]
+        })
+        .collect()
+}
+
+/// One BSP run of `prog` in each runtime over the same fragments:
+/// `(threaded outputs, threaded stats, simulated outputs, simulated stats)`.
+fn bsp_pair<P: PieProgram<(), u32>>(
+    g: &Graph<(), u32>,
+    prog: &P,
+    q: &P::Query,
+    threads: usize,
+) -> (P::Out, RunStats, P::Out, RunStats) {
+    let t = Engine::new(
+        frags(g, 5),
+        EngineOpts { threads, mode: Mode::Bsp, max_rounds: Some(100_000) },
+    )
+    .run(prog, q);
+    let s = SimEngine::new(frags(g, 5), SimOpts { mode: Mode::Bsp, ..SimOpts::default() })
+        .expect("valid opts")
+        .run(prog, q);
+    (t.out, t.stats, s.out, s.stats)
+}
+
+/// BSP is deterministic in both runtimes and both run the same round
+/// step, so every per-worker counter agrees exactly at any thread count,
+/// and PageRank's floating-point sums come out bit-identical.
+#[test]
+fn bsp_counters_match_across_runtimes() {
+    let g = generate::rmat(9, 8, true, 44);
+    for threads in [1usize, 2, 4] {
+        let (to, ts, so, ss) = bsp_pair(&g, &Sssp, &2, threads);
+        assert_eq!(counters(&ts), counters(&ss), "SSSP, {threads} threads");
+        assert_eq!(to, so, "SSSP, {threads} threads");
+
+        let (to, ts, so, ss) = bsp_pair(&g, &ConnectedComponents, &(), threads);
+        assert_eq!(counters(&ts), counters(&ss), "CC, {threads} threads");
+        assert_eq!(to, so, "CC, {threads} threads");
+
+        let pr = PageRank { damping: 0.85, epsilon: 1e-8 };
+        let (to, ts, so, ss) = bsp_pair(&g, &pr, &(), threads);
+        assert_eq!(counters(&ts), counters(&ss), "PageRank, {threads} threads");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&to), bits(&so), "PageRank, {threads} threads");
+    }
 }
