@@ -17,9 +17,9 @@
 //!   new cut edges, moved to the best underloaded target. Budgeted so a
 //!   rebalance round never stalls serving.
 //! * **Executor** — [`execute_migration`] applies the plan in place:
-//!   [`aap_graph::mutate::migrate_edge_cut_traced`] for edge-cut
+//!   [`aap_graph::mutate::migrate_edge_cut`] for edge-cut
 //!   fragments, the shared vertex-cut patch path
-//!   ([`aap_graph::mutate::patch_vertex_cut_traced`] with owner
+//!   ([`aap_graph::mutate::patch_vertex_cut`] with owner
 //!   overrides) for vertex-cut. Both return an
 //!   [`AppliedEdit`] whose `StateRemap`s carry retained warm state with
 //!   the migrated vertices — the next round is warm, never cold.
@@ -29,8 +29,7 @@
 
 use aap_graph::fragment::{fragment_cut_edges, PartitionStats};
 use aap_graph::mutate::{
-    migrate_edge_cut_traced, patch_vertex_cut_traced, AppliedEdit, StateRemap, VertexCutEdit,
-    VertexMove,
+    migrate_edge_cut, patch_vertex_cut, AppliedEdit, StateRemap, VertexCutEdit, VertexMove,
 };
 use aap_graph::{FragId, Fragment, LocalId, VertexId};
 use aap_trace::{cat, pid, Args, Tracer};
@@ -425,7 +424,7 @@ fn plan_vertex_cut<V, E>(frags: &[&Fragment<V, E>], policy: &BalancePolicy) -> M
 /// Apply a migration plan in place.
 ///
 /// Dispatches on the cut kind: edge-cut goes through
-/// [`migrate_edge_cut_traced`] (ownership + adjacency rows move),
+/// [`migrate_edge_cut`] (ownership + adjacency rows move),
 /// vertex-cut through the shared patch path with `owner_overrides`
 /// (ownership flips between existing copies). The returned
 /// [`AppliedEdit`] carries the [`StateRemap`]s and seeds the session
@@ -453,9 +452,9 @@ where
         for &(v, to) in &plan.moves {
             edit.owner_overrides.insert(v, to);
         }
-        patch_vertex_cut_traced(frags, &edit, tracer)
+        patch_vertex_cut(frags, &edit, tracer)
     } else {
-        migrate_edge_cut_traced(frags, &plan.moves, tracer)
+        migrate_edge_cut(frags, &plan.moves, tracer)
     }
 }
 

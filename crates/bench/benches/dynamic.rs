@@ -16,7 +16,8 @@
 use aap_algos::{ConnectedComponents, Sssp};
 use aap_core::{Engine, EngineOpts, Mode};
 use aap_delta::generate::{insert_batch, insert_batch_within, remove_batch};
-use aap_delta::{apply_to_fragments, plan_incremental, remap_invalid, Applied, GraphDelta};
+use aap_delta::{apply_to_fragments_par, plan_incremental, remap_invalid, Applied, GraphDelta};
+use aap_graph::mutate::EditBuffers;
 use aap_graph::partition::{build_fragments_n, hash_partition};
 use aap_graph::{generate, Fragment, Graph, LocalId};
 use aap_trace::Tracer;
@@ -54,13 +55,14 @@ fn prepare(g: &Graph<(), u32>, delta: &GraphDelta) -> Prepared {
     let (sssp_inv_old, cc_inv_old) = {
         let view: Vec<&Fragment<(), u32>> = engine.fragments().iter().map(|a| &**a).collect();
         (
-            plan_incremental(&view, &Sssp, &0, delta, &mut sssp_state, &off).1,
-            plan_incremental(&view, &ConnectedComponents, &(), delta, &mut cc_state, &off).1,
+            plan_incremental(&view, &Sssp, &0, delta, &mut sssp_state, &off).invalid_old,
+            plan_incremental(&view, &ConnectedComponents, &(), delta, &mut cc_state, &off)
+                .invalid_old,
         )
     };
     let applied = {
         let mut refs = engine.fragments_mut().expect("unique fragments");
-        apply_to_fragments(&mut refs, delta)
+        apply_to_fragments_par(&mut refs, delta, &mut EditBuffers::default(), 1)
     };
     let sssp_invalid = remap_invalid(sssp_inv_old, &applied);
     let cc_invalid = remap_invalid(cc_inv_old, &applied);
@@ -237,7 +239,7 @@ fn bench_dynamic(c: &mut Criterion) {
             || build_fragments_n(&g, &hash_partition(&g, WORKERS), WORKERS),
             |mut frags| {
                 let mut refs: Vec<_> = frags.iter_mut().collect();
-                black_box(apply_to_fragments(&mut refs, &delta))
+                black_box(apply_to_fragments_par(&mut refs, &delta, &mut EditBuffers::default(), 1))
             },
             BatchSize::PerIteration,
         )
@@ -254,7 +256,7 @@ fn bench_dynamic(c: &mut Criterion) {
             || build_fragments_n(&g, &assignment, WORKERS),
             |mut frags| {
                 let mut refs: Vec<_> = frags.iter_mut().collect();
-                black_box(apply_to_fragments(&mut refs, &delta))
+                black_box(apply_to_fragments_par(&mut refs, &delta, &mut EditBuffers::default(), 1))
             },
             BatchSize::PerIteration,
         )

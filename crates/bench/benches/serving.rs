@@ -8,15 +8,16 @@
 //! outrun the single-threaded mutable path (the `repro serving`
 //! experiment measures the multi-threaded aggregate).
 //!
-//! Apply side: the scattered 0.1% insert batch at 8 fragments, serial
-//! (`apply_to_fragments`) vs the scoped-thread per-fragment repack
-//! (`apply_to_fragments_par`, byte-identical by the mutate proptests).
+//! Apply side: the scattered 0.1% insert batch at 8 fragments through
+//! `apply_to_fragments_par`, serial (`threads = 1`) vs the scoped-thread
+//! per-fragment repack (`threads = 8`, byte-identical by the mutate
+//! proptests).
 //! On a multi-core box the parallel row wins; on one core it shows the
 //! fan-out overhead — both are honest numbers worth tracking.
 
 use aap_algos::Sssp;
 use aap_core::Mode;
-use aap_delta::apply::{apply_to_fragments, apply_to_fragments_par};
+use aap_delta::apply::apply_to_fragments_par;
 use aap_delta::generate::insert_batch;
 use aap_graph::generate;
 use aap_graph::mutate::EditBuffers;
@@ -57,7 +58,7 @@ fn bench_serving(c: &mut Criterion) {
             || build_fragments_n(&g, &hash_partition(&g, WORKERS), WORKERS),
             |mut frags| {
                 let mut refs: Vec<_> = frags.iter_mut().collect();
-                black_box(apply_to_fragments(&mut refs, &delta))
+                black_box(apply_to_fragments_par(&mut refs, &delta, &mut EditBuffers::default(), 1))
             },
             BatchSize::PerIteration,
         )

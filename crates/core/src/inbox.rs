@@ -14,7 +14,7 @@
 //! epoch-stamped sparse set combines values per vertex with no hash-map
 //! traversal and — with a warm [`Scratch`] — no heap allocation.
 
-use crate::pie::{Batch, Messages, PieProgram, Round};
+use crate::pie::{Batch, Messages, PieProgram};
 use crate::scratch::Scratch;
 use aap_graph::Fragment;
 
@@ -41,10 +41,6 @@ pub struct DrainInfo {
     pub batches: usize,
     /// Raw updates consumed (before `faggr` deduplication).
     pub raw_updates: usize,
-    /// Distinct sending workers.
-    pub distinct_sources: usize,
-    /// Highest round tag among consumed batches.
-    pub max_round: Round,
 }
 
 impl<Val> Inbox<Val> {
@@ -91,16 +87,10 @@ impl<Val> Inbox<Val> {
         scratch.ensure(frag);
         scratch.next_epoch();
         scratch.msgs.clear();
-        let mut distinct_sources = 0usize;
-        let mut max_round = 0;
         let info_batches = self.batches.len();
         let info_raw = self.buffered_updates;
         let local_count = frag.local_count();
         for batch in self.batches.drain(..) {
-            if scratch.touch_source(batch.src) {
-                distinct_sources += 1;
-            }
-            max_round = max_round.max(batch.round);
             let mut updates = batch.updates;
             for (l, v) in updates.drain(..) {
                 debug_assert!(
@@ -124,7 +114,7 @@ impl<Val> Inbox<Val> {
         }
         self.buffered_updates = 0;
         scratch.msgs.sort_unstable_by_key(|&(l, _)| l);
-        DrainInfo { batches: info_batches, raw_updates: info_raw, distinct_sources, max_round }
+        DrainInfo { batches: info_batches, raw_updates: info_raw }
     }
 
     /// Convenience wrapper over [`Inbox::drain_into`] with a throwaway
@@ -200,8 +190,6 @@ mod tests {
         let (msgs, info) = inbox.drain(&Min, &f);
         assert_eq!(info.batches, 2);
         assert_eq!(info.raw_updates, 3);
-        assert_eq!(info.distinct_sources, 1);
-        assert_eq!(info.max_round, 2);
         // values combined per-vertex with min
         let mut expect = vec![(l2, 4u64), (l3, 9)];
         expect.sort_unstable_by_key(|&(l, _)| l);
@@ -217,24 +205,6 @@ mod tests {
         let (msgs, info) = inbox.drain(&Min, &f);
         assert!(msgs.is_empty());
         assert_eq!(info.batches, 0);
-    }
-
-    #[test]
-    fn distinct_sources_counted_per_drain() {
-        let f = frag();
-        let l2 = f.local(2).unwrap();
-        let mut inbox: Inbox<u64> = Inbox::default();
-        let mut scratch: Scratch<u64> = Scratch::default();
-        for src in [0u16, 0, 1, 1, 0] {
-            inbox.push(Batch { src, round: 1, updates: vec![(l2, src as u64)] });
-        }
-        let info = inbox.drain_into(&Min, &f, &mut scratch);
-        assert_eq!(info.distinct_sources, 2);
-        assert_eq!(scratch.take_msgs(), vec![(l2, 0u64)]);
-        // A second drain must not be confused by the previous epoch.
-        inbox.push(Batch { src: 1, round: 2, updates: vec![(l2, 7)] });
-        let info = inbox.drain_into(&Min, &f, &mut scratch);
-        assert_eq!(info.distinct_sources, 1);
     }
 
     #[test]

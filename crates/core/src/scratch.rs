@@ -46,8 +46,6 @@ pub struct Scratch<Val> {
     /// Per local vertex: index into the dense vector currently being built
     /// (`uniq` while routing, `msgs` while draining).
     slot: Vec<u32>,
-    /// Per peer fragment: epoch stamp for distinct-source counting.
-    src_stamp: Vec<u32>,
     /// Deduplicated update set, built by the routing pre-pass.
     pub(crate) uniq: Vec<(LocalId, Val)>,
     /// Per-destination send buffers, parallel to `RoutingTable::dests()`.
@@ -91,7 +89,6 @@ impl<Val> Default for Scratch<Val> {
             epoch: 0,
             stamp: Vec::new(),
             slot: Vec::new(),
-            src_stamp: Vec::new(),
             uniq: Vec::new(),
             bufs: Vec::new(),
             msgs: Vec::new(),
@@ -115,10 +112,6 @@ impl<Val> Scratch<Val> {
             self.stamp.resize(n, 0);
             self.slot.resize(n, 0);
         }
-        let m = frag.num_frags() as usize;
-        if self.src_stamp.len() < m {
-            self.src_stamp.resize(m, 0);
-        }
         let d = frag.routing().num_dests();
         if self.bufs.len() < d {
             self.bufs.resize_with(d, Vec::new);
@@ -133,7 +126,6 @@ impl<Val> Scratch<Val> {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.fill(u32::MAX);
-            self.src_stamp.fill(u32::MAX);
             self.epoch = 1;
         }
         self.epoch
@@ -151,23 +143,6 @@ impl<Val> Scratch<Val> {
             self.stamp[i] = self.epoch;
             self.slot[i] = idx;
             None
-        }
-    }
-
-    /// Epoch-stamped distinct-source check for drain statistics.
-    #[inline]
-    pub(crate) fn touch_source(&mut self, src: FragId) -> bool {
-        let i = src as usize;
-        debug_assert!(
-            i < self.src_stamp.len(),
-            "batch src {i} out of range: partition has {} fragments",
-            self.src_stamp.len()
-        );
-        if self.src_stamp[i] == self.epoch {
-            false
-        } else {
-            self.src_stamp[i] = self.epoch;
-            true
         }
     }
 

@@ -3,12 +3,12 @@
 
 use crate::ops::GraphDelta;
 use aap_graph::mutate::{
-    apply_partition_edit_threads_traced, apply_partition_edit_traced, patch_vertex_cut_traced,
-    AppliedEdit, DeltaSummary, EditBuffers, FragmentEdit, PartitionEdit, StateRemap, VertexCutEdit,
+    apply_partition_edit, patch_vertex_cut, DeltaSummary, EditBuffers, FragmentEdit, PartitionEdit,
+    StateRemap, VertexCutEdit,
 };
 use aap_graph::partition::vertex_cut_edge_frag;
 use aap_graph::{fxhash, mutate, FragId, Fragment, FxHashMap, FxHashSet, Graph, LocalId, VertexId};
-use aap_trace::{cat, pid, Args, Tracer};
+use aap_trace::{cat, pid, Args};
 
 /// Result of applying a delta to a fragment set: everything a warm-start
 /// engine run (`Engine::run_incremental`) consumes.
@@ -23,8 +23,9 @@ pub struct Applied {
     /// Per-fragment delta-affected vertices (new local ids, sorted).
     pub seeds: Vec<Vec<LocalId>>,
     /// Per-fragment: whether persisted bytes changed (see
-    /// [`AppliedEdit::changed`]). Both cut kinds patch in place, so this
-    /// covers exactly the repacked fragments.
+    /// [`AppliedEdit::changed`](aap_graph::mutate::AppliedEdit::changed)).
+    /// Both cut kinds patch in place, so this covers exactly the repacked
+    /// fragments.
     pub changed: Vec<bool>,
 }
 
@@ -112,7 +113,8 @@ where
     (Graph::from_stored_edges(directed, nodes, edges), wdec, winc)
 }
 
-/// Replay `delta` onto a partitioned fragment set, **in place**.
+/// Replay `delta` onto a partitioned fragment set, **in place** — the one
+/// fragment-side apply.
 ///
 /// Both cut kinds are patched locally: only fragments named by the delta
 /// (or linked to them through mirrors/holders/copies) are touched; dense
@@ -129,44 +131,23 @@ where
 /// canonical pair-hash fragment and repack just the holders of affected
 /// vertices (`patch_vertex_cut`).
 ///
+/// The edge-cut splices, holder updates and routing rebuilds fan out over
+/// up to `threads` scoped worker threads (each phase over as many as it
+/// has work items), byte-identical at every thread count (see
+/// [`aap_graph::mutate::apply_partition_edit`], pinned by the mutate
+/// proptests); the vertex-cut patch is serial regardless of `threads`
+/// (its batches touch few fragments). `bufs` pools the splice's scratch
+/// (sorted op list, per-local marks) across batches.
+///
+/// With a tracer in `bufs` ([`EditBuffers::traced`]) the whole apply
+/// runs under an `apply_delta` span on the delta track, whose children
+/// are the `resolve_edit` phase span, one `repack` span per changed
+/// fragment (tid = fragment id, covering its whole splice) and the
+/// `routing` span of the table rebuilds, the last two from the graph
+/// layer.
+///
 /// New vertices are owned by `hash(id) % m`, consistent with
 /// [`aap_graph::partition::hash_partition`].
-pub fn apply_to_fragments<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    delta: &GraphDelta<V, E>,
-) -> Applied
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    apply_to_fragments_with(frags, delta, &mut EditBuffers::default())
-}
-
-/// [`apply_to_fragments`] with caller-owned pooled buffers, for streaming
-/// many batches without re-allocating the splice's scratch (sorted op
-/// list, per-local marks).
-pub fn apply_to_fragments_with<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    delta: &GraphDelta<V, E>,
-    bufs: &mut EditBuffers,
-) -> Applied
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    let tracer = Tracer::default();
-    apply_traced(frags, delta, 1, &tracer, |frags, edit| {
-        apply_partition_edit_traced(frags, edit, bufs, &tracer)
-    })
-}
-
-/// [`apply_to_fragments_with`], fanning the per-fragment splices, holder
-/// updates and routing rebuilds out over up to `threads` scoped worker
-/// threads (each phase over as many as it has work items). Byte-identical
-/// at every thread count (see
-/// [`aap_graph::mutate::apply_partition_edit_threads`], pinned by the
-/// mutate proptests); edge-cut only — the vertex-cut patch is serial
-/// regardless of `threads` (its batches touch few fragments).
 pub fn apply_to_fragments_par<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     delta: &GraphDelta<V, E>,
@@ -177,51 +158,12 @@ where
     V: Clone + Send + Sync,
     E: Clone + PartialOrd + Send + Sync,
 {
-    apply_to_fragments_par_traced(frags, delta, bufs, threads, &Tracer::default())
-}
-
-/// [`apply_to_fragments_par`] with structured tracing: the whole apply
-/// runs under an `apply_delta` span on the delta track, whose children
-/// are the `resolve_edit` phase span, one `repack` span per changed
-/// fragment (tid = fragment id, covering its whole splice) and the
-/// `routing` span of the table rebuilds, the last two from the graph
-/// layer. The untraced entry point delegates here with a disabled
-/// tracer.
-pub fn apply_to_fragments_par_traced<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    delta: &GraphDelta<V, E>,
-    bufs: &mut EditBuffers,
-    threads: usize,
-    tracer: &Tracer,
-) -> Applied
-where
-    V: Clone + Send + Sync,
-    E: Clone + PartialOrd + Send + Sync,
-{
-    apply_traced(frags, delta, threads.max(1), tracer, |frags, edit| {
-        apply_partition_edit_threads_traced(frags, edit, bufs, threads, tracer)
-    })
-}
-
-/// The body of every entry point above: resolve the delta against the
-/// partition and patch in place, `edge_cut` being the caller's choice of
-/// graph-layer driver (on the calling thread, or over `threads`).
-fn apply_traced<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    delta: &GraphDelta<V, E>,
-    threads: usize,
-    tracer: &Tracer,
-    edge_cut: impl FnOnce(&mut [&mut Fragment<V, E>], &PartitionEdit<V, E>) -> AppliedEdit,
-) -> Applied
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
     assert!(!frags.is_empty(), "cannot apply a delta to an empty fragment set");
     let vertex_cut = frags[0].is_vertex_cut();
+    let tracer = bufs.tracer().clone();
     let traced = tracer.enabled();
     if traced {
-        let threads = if vertex_cut { 1 } else { threads };
+        let threads = if vertex_cut { 1 } else { threads.max(1) };
         tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", delta_args(delta, threads));
         tracer.begin(pid::DELTA, 0, cat::APPLY, "resolve_edit", Args::new());
     }
@@ -234,11 +176,11 @@ where
     let applied = if vertex_cut {
         let edit = resolve_vertex_cut_edit(frags, delta);
         end_resolve(edit.frags.iter().filter(|fe| !fe.is_empty()).count());
-        patch_vertex_cut_traced(frags, &edit, tracer)
+        patch_vertex_cut(frags, &edit, &tracer)
     } else {
         let edit = resolve_edge_cut_edit(frags, delta);
         end_resolve(edit.touched.iter().filter(|&&t| t).count());
-        edge_cut(frags, &edit)
+        apply_partition_edit(frags, &edit, bufs, threads)
     };
     if traced {
         tracer.end(pid::DELTA, 0, cat::APPLY, "apply_delta", Args::new());
@@ -472,7 +414,7 @@ mod tests {
         let delta = d.build();
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            apply_to_fragments(&mut refs, &delta)
+            apply_to_fragments_par(&mut refs, &delta, &mut EditBuffers::default(), 1)
         };
         assert!(!applied.summary.is_monotone_decreasing()); // has a removal
         let expect = build_fragments_n(&apply_to_graph(&g, &delta), &assignment, 4);
@@ -501,7 +443,7 @@ mod tests {
         let delta = d.build();
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            apply_to_fragments(&mut refs, &delta)
+            apply_to_fragments_par(&mut refs, &delta, &mut EditBuffers::default(), 1)
         };
         assert!(applied.summary.is_monotone_decreasing());
         let expected_owner = (aap_graph::fxhash::hash_u64(50) % 3) as usize;
@@ -526,7 +468,7 @@ mod tests {
         let delta = d.build();
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            apply_to_fragments(&mut refs, &delta)
+            apply_to_fragments_par(&mut refs, &delta, &mut EditBuffers::default(), 1)
         };
         // Structure matches a from-scratch vertex-cut build of the new graph.
         let g2 = apply_to_graph(&g, &delta);

@@ -12,12 +12,12 @@
 //!   inserts, edge removals, weight updates, and vertex add/removals;
 //! * [`apply_to_graph`] — replay a batch onto a global
 //!   [`Graph`](aap_graph::Graph);
-//! * [`apply_to_fragments`] — replay a batch onto a partitioned fragment
-//!   set **in place**: edge-cut partitions are patched locally (touched
-//!   fragments only — CSR, border sets, holder lists, and dense routing
-//!   tables; see `aap_graph::mutate`), vertex-cut partitions are
-//!   re-partitioned. Returns the per-fragment [`StateRemap`]s and seed
-//!   vertices a warm engine run needs;
+//! * [`apply_to_fragments_par`] — replay a batch onto a partitioned
+//!   fragment set **in place**, the one fragment-side apply: both cut
+//!   kinds are patched locally (touched fragments only — CSR, border
+//!   sets, holder lists, and dense routing tables; see
+//!   `aap_graph::mutate`). Returns the per-fragment [`StateRemap`]s and
+//!   seed vertices a warm engine run needs;
 //! * [`run_incremental`] — the driver, on either runtime (any
 //!   [`Backend`](aap_core::Backend)): apply
 //!   the delta to an engine's fragments, then warm-start `IncEval` from
@@ -61,14 +61,11 @@ pub mod generate;
 pub mod ops;
 pub mod run;
 
-pub use apply::{
-    apply_to_fragments, apply_to_fragments_par, apply_to_fragments_par_traced, apply_to_graph,
-    Applied,
-};
+pub use apply::{apply_to_fragments_par, apply_to_graph, Applied};
 pub use ops::{DeltaBuilder, GraphDelta};
 pub use run::{
-    plan_incremental, remap_invalid, replay, run_incremental, run_incremental_with,
-    IncrementalOutput,
+    advance, plan_incremental, remap_invalid, replay, run_incremental, run_incremental_with,
+    IncrementalOutput, IncrementalPlan,
 };
 
 pub use aap_core::pie::WarmStrategy;

@@ -8,7 +8,7 @@ use aap_graph::{FxHashMap, VertexId};
 /// application layer expands it to both stored directions.
 ///
 /// Semantics (matching [`crate::apply_to_graph`] and
-/// [`crate::apply_to_fragments`]):
+/// [`crate::apply_to_fragments_par`]):
 ///
 /// * `add_edge(u, v, w)` adds one new parallel edge (endpoints must exist
 ///   or be added in the same batch);
@@ -177,7 +177,8 @@ impl<V, E> GraphDelta<V, E> {
     }
 
     /// Structural op counts. Weight *directions* are unknown until the
-    /// batch meets a graph; [`crate::apply_to_fragments`] fills them in.
+    /// batch meets a graph; [`crate::apply_to_fragments_par`] fills them
+    /// in.
     pub fn summary(&self) -> DeltaSummary {
         DeltaSummary {
             vertices_added: self.vertices_added.len() as u64,

@@ -28,7 +28,7 @@
 //! passed in and keep the returned record as the account of how it
 //! resolved.
 
-use crate::apply::{apply_to_fragments_with, Applied};
+use crate::apply::{apply_to_fragments_par, Applied};
 use crate::ops::GraphDelta;
 use aap_core::engine::RunState;
 use aap_core::pie::{DeltaChanges, WarmStart, WarmStrategy};
@@ -64,7 +64,7 @@ struct Resolved {
 }
 
 /// Classify the batch's weight updates against the stored weights —
-/// [`weight_change`], the same classifier `apply_to_fragments` uses,
+/// [`weight_change`], the same classifier `apply_to_fragments_par` uses,
 /// run before the apply destroys the old values. A logical update
 /// counts as an increase if *any* stored copy would grow (or is
 /// incomparable under `PartialOrd`).
@@ -104,6 +104,18 @@ where
     Resolved { summary, increased }
 }
 
+/// The pre-apply half of one batch for one program, from
+/// [`plan_incremental`]: the strategy `delta_strategy` chose and, for
+/// `warm-increase`, the invalidated sets in **old** local ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IncrementalPlan {
+    /// Which evaluation strategy the batch runs.
+    pub strategy: WarmStrategy,
+    /// Per-fragment invalidated locals, pre-apply ids; empty sets unless
+    /// `strategy` is `warm-increase`.
+    pub invalid_old: Vec<Vec<LocalId>>,
+}
+
 /// Pick the strategy and, for `warm-increase`, the per-fragment
 /// invalidated sets (**old** local ids) — everything that must happen
 /// while the **pre-apply** fragments and states are still observable.
@@ -111,7 +123,7 @@ where
 /// it is public so harnesses (the `dynamic` bench, the session's
 /// multi-program apply) can stage the sequence themselves without
 /// re-implementing the weight-direction resolution. Pair it with
-/// [`remap_invalid`] after the apply.
+/// [`advance`] (or [`remap_invalid`]) after the apply.
 ///
 /// An enabled `tracer` receives the chosen strategy as a `strategy`
 /// instant (with the resolved batch shape as args) and, for
@@ -124,7 +136,7 @@ pub fn plan_incremental<V, E, P>(
     delta: &GraphDelta<V, E>,
     state: &mut RunState<P::State>,
     tracer: &Tracer,
-) -> (WarmStrategy, Vec<Vec<LocalId>>)
+) -> IncrementalPlan
 where
     E: PartialOrd,
     P: WarmStart<V, E>,
@@ -173,7 +185,7 @@ where
     } else {
         frags.iter().map(|_| Vec::new()).collect()
     };
-    (strategy, invalid_old)
+    IncrementalPlan { strategy, invalid_old }
 }
 
 /// Migrate the planned invalidated sets into the post-apply local id
@@ -190,6 +202,39 @@ pub fn remap_invalid(invalid_old: Vec<Vec<LocalId>>, applied: &Applied) -> Vec<V
             v
         })
         .collect()
+}
+
+/// The post-apply half of one batch for one program: evaluate `q` warm
+/// from the retained `state` through the apply's remaps and seeds, with
+/// the plan's invalidated sets moved into the new local ids
+/// ([`remap_invalid`]); or, when the plan chose `cold`, re-run a cold
+/// retained evaluation and replace `state`. Either way the run's state
+/// write invalidated the plan cache, so it is re-seeded from the
+/// assembled output and the next batch's [`plan_incremental`] can skip
+/// its gather. [`run_incremental`] and the session's per-program
+/// advance both end here.
+pub fn advance<V, E, P, B>(
+    backend: &B,
+    prog: &P,
+    q: &P::Query,
+    plan: IncrementalPlan,
+    applied: &Applied,
+    state: &mut RunState<P::State>,
+) -> (P::Out, RunStats)
+where
+    P: WarmStart<V, E>,
+    B: Backend<V, E>,
+{
+    let (out, stats) = if plan.strategy.is_warm() {
+        let invalid = remap_invalid(plan.invalid_old, applied);
+        backend.run_incremental(prog, q, &applied.remaps, &applied.seeds, &invalid, state)
+    } else {
+        let (out, stats, fresh) = backend.run_retained(prog, q);
+        *state = fresh;
+        (out, stats)
+    };
+    prog.refresh_plan_cache(&out, state.plan_cache_mut());
+    (out, stats)
 }
 
 /// Apply `delta` to the backend's fragments in place, then evaluate `q`
@@ -218,8 +263,8 @@ pub fn run_incremental<V, E, P, B>(
     state: &mut RunState<P::State>,
 ) -> IncrementalOutput<P::Out>
 where
-    V: Clone,
-    E: Clone + PartialOrd,
+    V: Clone + Send + Sync,
+    E: Clone + PartialOrd + Send + Sync,
     P: WarmStart<V, E>,
     B: Backend<V, E>,
 {
@@ -227,7 +272,10 @@ where
 }
 
 /// [`run_incremental`] with caller-owned pooled apply buffers, for
-/// streaming many batches.
+/// streaming many batches: [`plan_incremental`], then
+/// [`apply_to_fragments_par`] on the backend's
+/// [`apply_threads`](Backend::apply_threads), then [`advance`]. A tracer
+/// in `bufs` receives the planning and apply events.
 pub fn run_incremental_with<V, E, P, B>(
     backend: &mut B,
     prog: &P,
@@ -237,32 +285,24 @@ pub fn run_incremental_with<V, E, P, B>(
     bufs: &mut EditBuffers,
 ) -> IncrementalOutput<P::Out>
 where
-    V: Clone,
-    E: Clone + PartialOrd,
+    V: Clone + Send + Sync,
+    E: Clone + PartialOrd + Send + Sync,
     P: WarmStart<V, E>,
     B: Backend<V, E>,
 {
-    let (strategy, invalid_old) = {
+    let plan = {
         let view: Vec<&Fragment<V, E>> = backend.fragments().iter().map(|a| &**a).collect();
-        plan_incremental(&view, prog, q, delta, state, &Tracer::default())
+        plan_incremental(&view, prog, q, delta, state, bufs.tracer())
     };
+    let strategy = plan.strategy;
+    let threads = backend.apply_threads();
     let applied = {
         let mut frags = backend
             .fragments_mut()
             .expect("backend fragments are shared; drop previous run outputs first");
-        apply_to_fragments_with(&mut frags, delta, bufs)
+        apply_to_fragments_par(&mut frags, delta, bufs, threads)
     };
-    let (out, stats) = if strategy.is_warm() {
-        let invalid = remap_invalid(invalid_old, &applied);
-        backend.run_incremental(prog, q, &applied.remaps, &applied.seeds, &invalid, state)
-    } else {
-        let (out, stats, fresh) = backend.run_retained(prog, q);
-        *state = fresh;
-        (out, stats)
-    };
-    // The run's state write invalidated the plan cache; re-seed it from
-    // the assembled output so the next batch's plan can skip its gather.
-    prog.refresh_plan_cache(&out, state.plan_cache_mut());
+    let (out, stats) = advance(backend, prog, q, plan, &applied, state);
     IncrementalOutput { out, stats, applied, strategy }
 }
 
@@ -279,8 +319,8 @@ pub fn replay<'a, V, E, P, B, I>(
     state: &mut RunState<P::State>,
 ) -> Option<IncrementalOutput<P::Out>>
 where
-    V: Clone + 'a,
-    E: Clone + PartialOrd + 'a,
+    V: Clone + Send + Sync + 'a,
+    E: Clone + PartialOrd + Send + Sync + 'a,
     P: WarmStart<V, E>,
     B: Backend<V, E>,
     I: IntoIterator<Item = &'a GraphDelta<V, E>>,

@@ -289,22 +289,37 @@ pub struct AppliedEdit {
 /// mark bytes and the weight-only seen-set keep their capacity across
 /// batches, so streaming many small deltas performs no steady-state
 /// re-allocation of the transient structures. The pool holds one buffer
-/// set per apply worker; [`apply_partition_edit_threads`] splits it so
-/// each scoped thread rewrites with a private set.
+/// set per apply worker, so each scoped thread rewrites with a private
+/// set.
+///
+/// The buffers also carry the apply's tracer: [`EditBuffers::default`]
+/// is untraced, [`EditBuffers::traced`] makes every apply through them
+/// emit its spans.
 #[derive(Debug, Default)]
 pub struct EditBuffers {
     workers: Vec<WorkerBufs>,
+    tracer: Tracer,
 }
 
 impl EditBuffers {
-    /// At least `n` per-worker buffer sets; the pool grows on first use
-    /// and retains capacity afterwards.
-    fn split(&mut self, n: usize) -> &mut [WorkerBufs] {
-        if self.workers.len() < n {
-            self.workers.resize_with(n, WorkerBufs::default);
-        }
-        &mut self.workers[..n]
+    /// Empty buffers whose applies emit their spans to `tracer`.
+    pub fn traced(tracer: Tracer) -> Self {
+        EditBuffers { workers: Vec::new(), tracer }
     }
+
+    /// The tracer the applies through these buffers emit to.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+}
+
+/// At least `n` per-worker buffer sets from `pool`, which grows on first
+/// use and retains capacity afterwards.
+fn split(pool: &mut Vec<WorkerBufs>, n: usize) -> &mut [WorkerBufs] {
+    if pool.len() < n {
+        pool.resize_with(n, WorkerBufs::default);
+    }
+    &mut pool[..n]
 }
 
 /// One apply worker's pooled scratch.
@@ -836,14 +851,13 @@ fn is_weight_only<V, E>(edit: &PartitionEdit<V, E>) -> bool {
 fn apply_weight_only<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     edit: &PartitionEdit<V, E>,
-    bufs: &mut EditBuffers,
+    wb: &mut WorkerBufs,
 ) -> AppliedEdit
 where
     V: Clone,
     E: Clone + PartialOrd,
 {
     let m = frags.len();
-    let wb = &mut bufs.split(1)[0];
     let mut remaps: Vec<StateRemap> = Vec::with_capacity(m);
     let mut seeds: Vec<Vec<LocalId>> = vec![Vec::new(); m];
     let mut weights_decreased = 0u64;
@@ -899,7 +913,8 @@ where
 /// Run `job` over `items` on up to `bufs.len()` threads, each with a
 /// buffer set of its own and a contiguous chunk of the items; results
 /// come back in item order. The calling thread takes the first chunk, so
-/// one worker's worth of work spawns nothing.
+/// one worker's worth of work spawns nothing; one item, or one buffer
+/// set, runs inline without opening a thread scope.
 fn fan_out<T, R>(
     items: Vec<T>,
     bufs: &mut [WorkerBufs],
@@ -909,6 +924,10 @@ where
     T: Send,
     R: Send,
 {
+    if items.len() <= 1 || bufs.len() == 1 {
+        let wb = &mut bufs[0];
+        return items.into_iter().map(|item| job(item, wb)).collect();
+    }
     let per = items.len().div_ceil(bufs.len()).max(1);
     let mut items = items.into_iter();
     let job = &job;
@@ -1055,113 +1074,6 @@ fn route_one<V, E>(j: usize, view: &[&Fragment<V, E>]) -> (usize, crate::Routing
     (j, routing_table_for(view[j], &|d, g| view[d as usize].local(g)))
 }
 
-/// How the per-fragment jobs of the three apply phases run: [`Inline`]
-/// on the calling thread, or [`Scoped`] over worker threads (which is
-/// what needs `Send + Sync` payloads, so the choice is a type).
-trait Fan<V, E> {
-    fn rewrite(
-        &self,
-        touched: Vec<usize>,
-        view: &[&Fragment<V, E>],
-        edit: &PartitionEdit<V, E>,
-        bufs: &mut EditBuffers,
-        tracer: &Tracer,
-    ) -> Vec<Rewritten<V, E>>;
-    fn deliver(
-        &self,
-        owners: Vec<(usize, &mut Fragment<V, E>)>,
-        events: &[Vec<HolderEvent>],
-        rewritten: &[bool],
-        bufs: &mut EditBuffers,
-        tracer: &Tracer,
-    ) -> Vec<(usize, Vec<LocalId>)>;
-    fn route(
-        &self,
-        stale: Vec<usize>,
-        view: &[&Fragment<V, E>],
-        bufs: &mut EditBuffers,
-    ) -> Vec<(usize, crate::RoutingTable)>;
-}
-
-struct Inline;
-
-impl<V: Clone, E: Clone + PartialOrd> Fan<V, E> for Inline {
-    fn rewrite(
-        &self,
-        touched: Vec<usize>,
-        view: &[&Fragment<V, E>],
-        edit: &PartitionEdit<V, E>,
-        bufs: &mut EditBuffers,
-        tracer: &Tracer,
-    ) -> Vec<Rewritten<V, E>> {
-        let wb = &mut bufs.split(1)[0];
-        touched.into_iter().map(|i| rewrite_touched(i, view, edit, wb, tracer)).collect()
-    }
-    fn deliver(
-        &self,
-        owners: Vec<(usize, &mut Fragment<V, E>)>,
-        events: &[Vec<HolderEvent>],
-        rewritten: &[bool],
-        _: &mut EditBuffers,
-        tracer: &Tracer,
-    ) -> Vec<(usize, Vec<LocalId>)> {
-        let traced = tracer.enabled();
-        owners
-            .into_iter()
-            .map(|(j, f)| deliver_events(j, f, &events[j], traced && !rewritten[j], tracer))
-            .collect()
-    }
-    fn route(
-        &self,
-        stale: Vec<usize>,
-        view: &[&Fragment<V, E>],
-        _: &mut EditBuffers,
-    ) -> Vec<(usize, crate::RoutingTable)> {
-        stale.into_iter().map(|j| route_one(j, view)).collect()
-    }
-}
-
-/// Up to this many scoped threads per phase.
-struct Scoped(usize);
-
-impl<V, E> Fan<V, E> for Scoped
-where
-    V: Clone + Send + Sync,
-    E: Clone + PartialOrd + Send + Sync,
-{
-    fn rewrite(
-        &self,
-        touched: Vec<usize>,
-        view: &[&Fragment<V, E>],
-        edit: &PartitionEdit<V, E>,
-        bufs: &mut EditBuffers,
-        tracer: &Tracer,
-    ) -> Vec<Rewritten<V, E>> {
-        fan_out(touched, bufs.split(self.0), |i, wb| rewrite_touched(i, view, edit, wb, tracer))
-    }
-    fn deliver(
-        &self,
-        owners: Vec<(usize, &mut Fragment<V, E>)>,
-        events: &[Vec<HolderEvent>],
-        rewritten: &[bool],
-        bufs: &mut EditBuffers,
-        tracer: &Tracer,
-    ) -> Vec<(usize, Vec<LocalId>)> {
-        let traced = tracer.enabled();
-        fan_out(owners, bufs.split(self.0), |(j, f), _| {
-            deliver_events(j, f, &events[j], traced && !rewritten[j], tracer)
-        })
-    }
-    fn route(
-        &self,
-        stale: Vec<usize>,
-        view: &[&Fragment<V, E>],
-        bufs: &mut EditBuffers,
-    ) -> Vec<(usize, crate::RoutingTable)> {
-        fan_out(stale, bufs.split(self.0), |j, _| route_one(j, view))
-    }
-}
-
 /// Apply one resolved delta batch to an edge-cut fragment set, in place.
 ///
 /// Fragments not named by the edit (directly or through holder/renumber
@@ -1169,92 +1081,36 @@ where
 /// malformed edits (edges at the wrong fragment, unknown owners,
 /// non-contiguous new vertex ids); `aap-delta`'s resolver upholds these.
 ///
-/// Runs on the calling thread; [`apply_partition_edit_threads`] fans the
-/// per-fragment phases out over scoped threads with a byte-identical
-/// result.
+/// The per-fragment work of all three phases fans out over up to
+/// `threads` scoped worker threads — each phase over as many as it has
+/// work items: touched fragments are rewritten against a shared
+/// read-only view, owners splice the resulting holder events behind
+/// disjoint `&mut Fragment`s, and routing tables rebuild from the
+/// committed view. Each worker rewrites through its own pooled buffer
+/// set, and the cross-fragment holder events are merged between phases
+/// in ascending fragment order — the one place workers could have raced
+/// on ordering — so the result is **byte-identical at every thread
+/// count** (the mutate proptests pin this). A phase with one work item,
+/// and every phase when `threads <= 1`, runs on the calling thread.
+///
+/// With a tracer in `bufs` ([`EditBuffers::traced`]) the apply emits, on
+/// the delta track, one `repack` span per changed fragment (tid =
+/// fragment id, from whichever worker rewrites it; it covers the whole
+/// rewrite of a touched fragment, or the holder splice of one that only
+/// gained or lost holders) and a `routing` span around the table
+/// rebuilds.
 pub fn apply_partition_edit<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     edit: &PartitionEdit<V, E>,
     bufs: &mut EditBuffers,
-) -> AppliedEdit
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    apply_phases(frags, edit, bufs, &Tracer::default(), Inline)
-}
-
-/// [`apply_partition_edit`] with tracing (see
-/// [`apply_partition_edit_threads_traced`] for the spans).
-pub fn apply_partition_edit_traced<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    edit: &PartitionEdit<V, E>,
-    bufs: &mut EditBuffers,
-    tracer: &Tracer,
-) -> AppliedEdit
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    apply_phases(frags, edit, bufs, tracer, Inline)
-}
-
-/// [`apply_partition_edit`] with the per-fragment work of all three
-/// phases fanned out over up to `threads` scoped worker threads — each
-/// phase over as many as it has work items: touched fragments are
-/// rewritten against a shared read-only view, owners splice the
-/// resulting holder events behind disjoint `&mut Fragment`s, and routing
-/// tables rebuild from the committed view. Each worker rewrites through
-/// its own pooled `WorkerBufs`, and the cross-fragment holder events are
-/// merged between phases in ascending fragment order — the one place
-/// workers could have raced on ordering — so the result is
-/// **byte-identical at every thread count** (the mutate proptests pin
-/// this). A phase with one work item, and every phase when
-/// `threads <= 1`, runs on the calling thread.
-pub fn apply_partition_edit_threads<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    edit: &PartitionEdit<V, E>,
-    bufs: &mut EditBuffers,
     threads: usize,
 ) -> AppliedEdit
 where
     V: Clone + Send + Sync,
     E: Clone + PartialOrd + Send + Sync,
 {
-    apply_phases(frags, edit, bufs, &Tracer::default(), Scoped(threads.max(1)))
-}
-
-/// [`apply_partition_edit_threads`] emitting, on the delta track, one
-/// `repack` span per changed fragment (tid = fragment id, from whichever
-/// worker rewrites it; it covers the whole rewrite of a touched
-/// fragment, or the holder splice of one that only gained or lost
-/// holders) and a `routing` span around the table rebuilds.
-pub fn apply_partition_edit_threads_traced<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    edit: &PartitionEdit<V, E>,
-    bufs: &mut EditBuffers,
-    threads: usize,
-    tracer: &Tracer,
-) -> AppliedEdit
-where
-    V: Clone + Send + Sync,
-    E: Clone + PartialOrd + Send + Sync,
-{
-    apply_phases(frags, edit, bufs, tracer, Scoped(threads.max(1)))
-}
-
-/// The one apply driver behind the four entry points above.
-fn apply_phases<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    edit: &PartitionEdit<V, E>,
-    bufs: &mut EditBuffers,
-    tracer: &Tracer,
-    fan: impl Fan<V, E>,
-) -> AppliedEdit
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
+    let threads = threads.max(1);
+    let (workers, tracer) = (&mut bufs.workers, &bufs.tracer);
     let m = frags.len();
     assert_eq!(edit.frags.len(), m, "one FragmentEdit per fragment");
     assert_eq!(edit.touched.len(), m);
@@ -1268,7 +1124,7 @@ where
     if is_weight_only(edit) {
         // In-place weight patching touches a handful of cache lines per
         // entry; thread fan-out can only lose.
-        return apply_weight_only(frags, edit, bufs);
+        return apply_weight_only(frags, edit, &mut split(workers, 1)[0]);
     }
     let old_dests: Vec<Vec<FragId>> = frags.iter().map(|f| f.routing().dests().to_vec()).collect();
 
@@ -1278,7 +1134,9 @@ where
     let rewritten: Vec<Rewritten<V, E>> = {
         let view: Vec<&Fragment<V, E>> = frags.iter().map(|f| &**f).collect();
         let touched: Vec<usize> = (0..m).filter(|&i| edit.touched[i]).collect();
-        fan.rewrite(touched, &view, edit, bufs, tracer)
+        fan_out(touched, split(workers, threads), |i, wb| {
+            rewrite_touched(i, &view, edit, wb, tracer)
+        })
     };
     let mut remaps: Vec<StateRemap> =
         frags.iter().map(|f| StateRemap::identity(f.local_count())).collect();
@@ -1307,7 +1165,11 @@ where
         .filter(|(j, _)| !holder_events[*j].is_empty())
         .map(|(j, f)| (j, &mut **f))
         .collect();
-    for (j, gained) in fan.deliver(owners, &holder_events, &edit.touched, bufs, tracer) {
+    let traced = tracer.enabled();
+    let delivered = fan_out(owners, split(workers, threads), |(j, f), _| {
+        deliver_events(j, f, &holder_events[j], traced && !edit.touched[j], tracer)
+    });
+    for (j, gained) in delivered {
         changed[j] = true;
         seeds[j].extend(gained);
         seeds[j].sort_unstable();
@@ -1323,7 +1185,7 @@ where
     let tables = {
         let view: Vec<&Fragment<V, E>> = frags.iter().map(|f| &**f).collect();
         let stale: Vec<usize> = (0..m).filter(|&j| needs_routing[j]).collect();
-        fan.route(stale, &view, bufs)
+        fan_out(stale, split(workers, threads), |j, _| route_one(j, &view))
     };
     if tracer.enabled() {
         let args = Args::new().with("tables", tables.len());
@@ -1390,20 +1252,10 @@ impl<V, E> VertexCutEdit<V, E> {
 /// the fragments it names and (b) the holder sets / owners of the
 /// vertices incident to changed edges — and every fragment involved in
 /// (b) already holds the vertex or gains it through a named edge.
-pub fn patch_vertex_cut<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    edit: &VertexCutEdit<V, E>,
-) -> AppliedEdit
-where
-    V: Clone,
-    E: Clone + PartialOrd,
-{
-    patch_vertex_cut_traced(frags, edit, &Tracer::default())
-}
-
-/// [`patch_vertex_cut`] emitting a per-fragment `repack` span (delta
+///
+/// An enabled `tracer` receives a per-fragment `repack` span (delta
 /// track, tid = fragment id) around each rebuilt fragment.
-pub fn patch_vertex_cut_traced<V, E>(
+pub fn patch_vertex_cut<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     edit: &VertexCutEdit<V, E>,
     tracer: &Tracer,
@@ -1807,18 +1659,6 @@ where
 /// fragment that should own it next.
 pub type VertexMove = (VertexId, FragId);
 
-/// [`migrate_edge_cut_traced`] without tracing.
-pub fn migrate_edge_cut<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    moves: &[VertexMove],
-) -> AppliedEdit
-where
-    V: Clone,
-    E: Clone,
-{
-    migrate_edge_cut_traced(frags, moves, &Tracer::default())
-}
-
 /// Move ownership of selected vertices between edge-cut fragments **in
 /// place**, carrying each vertex's out-edges to its new owner — the
 /// executor half of `aap-balance`.
@@ -1835,7 +1675,10 @@ where
 /// every owner whose holder list changed (it re-announces to fresh
 /// mirrors), so a single warm incremental round settles the migrated
 /// values — the next round is warm, never cold.
-pub fn migrate_edge_cut_traced<V, E>(
+///
+/// An enabled `tracer` receives the `migrate` span and the per-fragment
+/// `repack` spans and `patch` instants on the delta track.
+pub fn migrate_edge_cut<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     moves: &[VertexMove],
     tracer: &Tracer,
@@ -2667,7 +2510,7 @@ mod tests {
         edit.owners.insert(0, 0);
         edit.owners.insert(3, 1);
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        let applied = apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default());
+        let applied = apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1);
 
         let f0 = &frags[0];
         let m3 = f0.local(3).expect("frag 0 gained a mirror of 3");
@@ -2715,7 +2558,7 @@ mod tests {
         }
         edit.touched = edit.frags.iter().map(|fe| !fe.is_empty()).collect();
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default());
+        apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1);
 
         // Reference: rebuild from the edited global graph.
         let mut b = GraphBuilder::new_undirected(60);
@@ -2760,7 +2603,7 @@ mod tests {
         edit.touched = vec![true, true];
         edit.owners.insert(2, 1);
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        let applied = apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default());
+        let applied = apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1);
 
         // Frag 0 lost its mirror of 2 (renumbered).
         assert!(frags[0].local(2).is_none());
@@ -2783,7 +2626,7 @@ mod tests {
         edit.frags[1].set_weights.push((2, 1, 7));
         edit.touched = vec![true, true];
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        let applied = apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default());
+        let applied = apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1);
         assert_eq!(applied.weights_increased, 2);
         assert_eq!(applied.weights_decreased, 0);
         assert!(applied.remaps.iter().all(|r| r.is_identity()));
@@ -2816,7 +2659,7 @@ mod tests {
         edit.owner_overrides.insert(v, to);
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            patch_vertex_cut(&mut refs, &edit)
+            patch_vertex_cut(&mut refs, &edit, &Tracer::default())
         };
 
         // Ownership moved; the old owner keeps a copy (its edges stayed).
@@ -2865,7 +2708,7 @@ mod tests {
         let moves: Vec<VertexMove> = vec![(picks[0], 1), (picks[1], 2), (picks[2], 0)];
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            migrate_edge_cut(&mut refs, &moves)
+            migrate_edge_cut(&mut refs, &moves, &Tracer::default())
         };
         for &(v, to) in &moves {
             assignment[v as usize] = to;
@@ -2917,7 +2760,7 @@ mod tests {
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
             // Vertex 1 is already owned by fragment 0: nothing to do.
-            migrate_edge_cut(&mut refs, &[(1, 0)])
+            migrate_edge_cut(&mut refs, &[(1, 0)], &Tracer::default())
         };
         assert!(applied.remaps.iter().all(|r| r.is_identity()));
         assert!(applied.seeds.iter().all(|s| s.is_empty()));
@@ -2939,7 +2782,7 @@ mod tests {
         edit.frags[t].insert_edges.push((27, 3, 9));
         {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            patch_vertex_cut(&mut refs, &edit);
+            patch_vertex_cut(&mut refs, &edit, &Tracer::default());
         }
         // Reference: canonical rebuild of the edited graph.
         let mut b = GraphBuilder::new_undirected(50);
@@ -3185,7 +3028,7 @@ mod tests {
                 let edit = random_batch(&live, &mut rng);
                 let got = {
                     let mut refs: Vec<&mut Fragment<(), u32>> = live.iter_mut().collect();
-                    apply_partition_edit(&mut refs, &edit, &mut bufs)
+                    apply_partition_edit(&mut refs, &edit, &mut bufs, 1)
                 };
                 let want = {
                     let mut refs: Vec<&mut Fragment<(), u32>> = reference.iter_mut().collect();

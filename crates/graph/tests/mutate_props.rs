@@ -6,9 +6,7 @@
 //! from-scratch `build_fragments_n` of the edited global graph, plus
 //! the structural invariants the routing layer relies on.
 
-use aap_graph::mutate::{
-    apply_partition_edit, apply_partition_edit_threads, EditBuffers, FragmentEdit, PartitionEdit,
-};
+use aap_graph::mutate::{apply_partition_edit, EditBuffers, FragmentEdit, PartitionEdit};
 use aap_graph::partition::{build_fragments_n, hash_partition};
 use aap_graph::{generate, Fragment, FxHashMap, FxHashSet, Graph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -251,13 +249,13 @@ proptest! {
         let mut bufs = EditBuffers::default();
         let a = {
             let mut refs: Vec<&mut Fragment<(), u32>> = serial.iter_mut().collect();
-            apply_partition_edit(&mut refs, &edit, &mut bufs)
+            apply_partition_edit(&mut refs, &edit, &mut bufs, 1)
         };
-        // Reuse the same buffer pool across both drivers — pooled state
-        // must not leak one batch's contents into the next.
+        // Reuse the same buffer pool across both thread counts — pooled
+        // state must not leak one batch's contents into the next.
         let b = {
             let mut refs: Vec<&mut Fragment<(), u32>> = parallel.iter_mut().collect();
-            apply_partition_edit_threads(&mut refs, &edit, &mut bufs, threads)
+            apply_partition_edit(&mut refs, &edit, &mut bufs, threads)
         };
 
         prop_assert_eq!(&a.remaps, &b.remaps);
@@ -313,7 +311,7 @@ proptest! {
 
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default())
+            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1)
         };
         // Weight-only: identity remaps everywhere, seeds only in
         // touched fragments.
@@ -352,7 +350,7 @@ proptest! {
 
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default())
+            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1)
         };
 
         // The assignment of surviving vertices is unchanged; fresh
@@ -408,7 +406,7 @@ proptest! {
         let before: Vec<Vec<VertexId>> = frags.iter().map(|f| f.globals().to_vec()).collect();
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default())
+            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1)
         };
         for i in 1..m {
             prop_assert!(applied.remaps[i].is_identity(), "frag {i} should be untouched");

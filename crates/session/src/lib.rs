@@ -81,13 +81,12 @@ use crate::durable::{
     graph_path, log_path, read_manifest, state_file_programs, state_path, sweep_stale_epochs,
     CheckpointCell, Durable, DurableSpec, PendingCut, StateCrcs,
 };
-use crate::slot::{AnySlot, Planned, ProgramFactory, Slot, SlotFactory};
+use crate::slot::{AnySlot, ProgramFactory, Slot, SlotFactory};
 use aap_balance::{execute_migration, plan_migration, BalanceMonitor};
 use aap_core::engine::RunState;
 use aap_core::pie::WarmStart;
 use aap_core::{Engine, EngineOpts, Mode, WarmStrategy};
-use aap_delta::apply::apply_to_fragments_par_traced;
-use aap_delta::{DeltaSummary, GraphDelta};
+use aap_delta::{apply_to_fragments_par, DeltaSummary, GraphDelta, IncrementalPlan};
 use aap_graph::mutate::EditBuffers;
 use aap_graph::partition::{
     build_fragments_n, build_fragments_vertex_cut_n, hash_partition, vertex_cut_partition,
@@ -854,7 +853,7 @@ where
                     slots,
                     durable: None,
                     balance: None,
-                    bufs: EditBuffers::default(),
+                    bufs: EditBuffers::traced(tracer.clone()),
                     version: 0,
                     tracer,
                     metrics: SessionMetrics::default(),
@@ -909,7 +908,7 @@ where
                     slots,
                     durable: None,
                     balance: None,
-                    bufs: EditBuffers::default(),
+                    bufs: EditBuffers::traced(tracer.clone()),
                     version: 0,
                     tracer,
                     metrics: SessionMetrics::default(),
@@ -1451,7 +1450,7 @@ where
         delta: &GraphDelta<V, E>,
     ) -> Result<(ApplyReport, Vec<bool>), SessionError> {
         // 1. Pre-apply planning on the old fragments + old states.
-        let planned: Vec<Option<Planned>> = {
+        let planned: Vec<Option<IncrementalPlan>> = {
             let view: Vec<&Fragment<V, E>> =
                 self.backend.fragments().iter().map(|a| &**a).collect();
             let tracer = &self.tracer;
@@ -1473,7 +1472,7 @@ where
             } else {
                 self.backend.fragments_mut().ok_or(SessionError::SharedFragments)?
             };
-            apply_to_fragments_par_traced(&mut frags, delta, &mut self.bufs, threads, &self.tracer)
+            apply_to_fragments_par(&mut frags, delta, &mut self.bufs, threads)
         };
         self.metrics.applies += 1;
         // 3. Advance every program that holds retained state, then

@@ -30,7 +30,7 @@ use aap_core::pie::WarmStart;
 use aap_core::publish::EpochCell;
 use aap_core::Backend;
 use aap_core::{Engine, PortableFragState, RunStats, WarmStrategy};
-use aap_delta::{plan_incremental, remap_invalid, Applied, GraphDelta};
+use aap_delta::{advance, plan_incremental, Applied, GraphDelta, IncrementalPlan};
 use aap_graph::mutate::StateRemap;
 use aap_graph::{Fragment, LocalId};
 use aap_sim::SimEngine;
@@ -57,14 +57,6 @@ pub(crate) struct EncodedState {
     pub(crate) crcs: StateCrcs,
 }
 
-/// The pre-apply half of one program's delta handling: the strategy its
-/// `delta_strategy` chose and, for `warm-increase`, the invalidated
-/// sets in **old** local ids (remapped after the apply).
-pub(crate) struct Planned {
-    pub(crate) strategy: WarmStrategy,
-    pub(crate) invalid_old: Vec<Vec<LocalId>>,
-}
-
 /// What one program's advance did, for the session's apply report.
 pub(crate) struct SlotAdvance {
     pub(crate) strategy: WarmStrategy,
@@ -84,16 +76,16 @@ pub(crate) trait AnySlot<V, E, B>: Any {
         frags: &[&Fragment<V, E>],
         delta: &GraphDelta<V, E>,
         tracer: &Tracer,
-    ) -> Option<Planned>;
-    /// Post-apply advance: warm (`run_incremental` through the applied
-    /// remaps/seeds) or cold (`run_retained`), refreshing the cached
-    /// output and the state's plan cache. Drops the answer cache — its
-    /// entries described the pre-apply graph.
+    ) -> Option<IncrementalPlan>;
+    /// Post-apply advance ([`aap_delta::advance`]: warm through the
+    /// applied remaps/seeds, or cold), refreshing the cached output.
+    /// Drops the answer cache — its entries described the pre-apply
+    /// graph.
     fn advance(
         &mut self,
         backend: &B,
         applied: &Applied,
-        planned: Option<Planned>,
+        plan: Option<IncrementalPlan>,
     ) -> Option<SlotAdvance>;
     /// Settle retained state across an elastic migration: one warm run
     /// through the migration remaps with its seeds (no invalidation —
@@ -284,44 +276,26 @@ where
         frags: &[&Fragment<V, E>],
         delta: &GraphDelta<V, E>,
         tracer: &Tracer,
-    ) -> Option<Planned> {
-        let q = self.query.clone()?;
+    ) -> Option<IncrementalPlan> {
+        let q = self.query.as_ref()?;
         let state = self.state.as_mut()?;
-        let (strategy, invalid_old) = plan_incremental(frags, &self.prog, &q, delta, state, tracer);
-        Some(Planned { strategy, invalid_old })
+        Some(plan_incremental(frags, &self.prog, q, delta, state, tracer))
     }
 
     fn advance(
         &mut self,
         backend: &B,
         applied: &Applied,
-        planned: Option<Planned>,
+        plan: Option<IncrementalPlan>,
     ) -> Option<SlotAdvance> {
-        let planned = planned?;
-        let q = self.query.clone()?;
-        let (out, stats) = if planned.strategy.is_warm() {
-            let state = self.state.as_mut()?;
-            let invalid = remap_invalid(planned.invalid_old, applied);
-            let (out, stats) = backend.run_incremental(
-                &self.prog,
-                &q,
-                &applied.remaps,
-                &applied.seeds,
-                &invalid,
-                state,
-            );
-            self.prog.refresh_plan_cache(&out, state.plan_cache_mut());
-            (out, stats)
-        } else {
-            let (out, stats, mut state) = backend.run_retained(&self.prog, &q);
-            self.prog.refresh_plan_cache(&out, state.plan_cache_mut());
-            self.state = Some(state);
-            (out, stats)
-        };
+        let plan = plan?;
+        let strategy = plan.strategy;
+        let (q, state) = (self.query.as_ref()?, self.state.as_mut()?);
+        let (out, stats) = advance(backend, &self.prog, q, plan, applied, state);
         self.out = Some(Arc::new(out));
         // Cached answers described the pre-apply graph.
         self.answers.clear();
-        Some(SlotAdvance { strategy: planned.strategy, stats })
+        Some(SlotAdvance { strategy, stats })
     }
 
     fn migrate(&mut self, backend: &B, remaps: &[StateRemap], seeds: &[Vec<LocalId>]) -> bool {

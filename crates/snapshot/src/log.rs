@@ -130,7 +130,7 @@ impl DeltaLog {
     /// Append one delta as a checksummed record and flush it.
     ///
     /// Log the same `GraphDelta` you hand to the incremental drivers:
-    /// a built delta is already deduplicated, and `apply_to_fragments`
+    /// a built delta is already deduplicated, and `apply_to_fragments_par`
     /// applies it verbatim, so the logged batch *is* the batch that hit
     /// the graph. What the drivers additionally report back
     /// (`aap_delta::IncrementalOutput::applied` and `warm`) is how the

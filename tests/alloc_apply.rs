@@ -64,7 +64,7 @@ fn weight_only_stream_reaches_a_small_constant_allocation_per_batch() {
     let mut run_batch = |bufs: &mut EditBuffers, round: usize| {
         let edit = if round.is_multiple_of(2) { &lo } else { &hi };
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        let applied = apply_partition_edit(&mut refs, edit, bufs);
+        let applied = apply_partition_edit(&mut refs, edit, bufs, 1);
         assert!(applied.remaps.iter().all(|r| r.is_identity()));
     };
 
@@ -97,7 +97,7 @@ fn weight_only_stream_reaches_a_small_constant_allocation_per_batch() {
 /// `EditBuffers` away every batch pays strictly more.
 #[test]
 fn structural_stream_retains_scratch_capacity_across_batches() {
-    use grape_aap::delta::apply::apply_to_fragments_with;
+    use grape_aap::delta::apply::apply_to_fragments_par;
 
     let mut frags = fragments();
     let probe = {
@@ -123,7 +123,7 @@ fn structural_stream_retains_scratch_capacity_across_batches() {
     let mut run_batch = |bufs: &mut EditBuffers, round: usize| {
         let delta = if round.is_multiple_of(2) { &add } else { &del };
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        apply_to_fragments_with(&mut refs, delta, bufs);
+        apply_to_fragments_par(&mut refs, delta, bufs, 1);
     };
 
     // Pooled: warm up, then two measurement windows.
@@ -165,7 +165,7 @@ fn structural_stream_retains_scratch_capacity_across_batches() {
 /// triples, sorts them and hashes its way back asks for more than 3×.)
 #[test]
 fn structural_batch_requests_little_more_than_the_fragments_it_rewrites() {
-    use grape_aap::delta::apply::apply_to_fragments_with;
+    use grape_aap::delta::apply::apply_to_fragments_par;
 
     let g = generate::rmat(14, 16, true, 7);
     let mut frags = build_fragments_n(&g, &hash_partition(&g, M), M);
@@ -187,7 +187,7 @@ fn structural_batch_requests_little_more_than_the_fragments_it_rewrites() {
         let delta = b.build();
         let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
         let before = bytes();
-        let applied = apply_to_fragments_with(&mut refs, &delta, &mut bufs);
+        let applied = apply_to_fragments_par(&mut refs, &delta, &mut bufs, 1);
         requested = bytes() - before;
         changed = applied.changed;
     }

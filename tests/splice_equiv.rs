@@ -14,7 +14,7 @@
 //! lives next to that implementation, in `aap_graph::mutate`'s tests.
 
 use aap_testkit::cases;
-use grape_aap::delta::apply::{apply_to_fragments_par, apply_to_fragments_with, apply_to_graph};
+use grape_aap::delta::apply::{apply_to_fragments_par, apply_to_graph};
 use grape_aap::delta::generate::Xorshift;
 use grape_aap::graph::mutate::EditBuffers;
 use grape_aap::graph::partition::{build_fragments_n, hash_partition};
@@ -142,7 +142,7 @@ proptest! {
             g = apply_to_graph(&g, &delta);
             let a = {
                 let mut refs: Vec<&mut Fragment<(), u32>> = serial.iter_mut().collect();
-                apply_to_fragments_with(&mut refs, &delta, &mut bufs)
+                apply_to_fragments_par(&mut refs, &delta, &mut bufs, 1)
             };
             let b = {
                 let mut refs: Vec<&mut Fragment<(), u32>> = threaded.iter_mut().collect();

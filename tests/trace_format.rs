@@ -142,13 +142,16 @@ fn eval_spans_carry_kernel_work_and_send_counts() {
 /// children — `resolve_edit`, one `repack` per changed fragment (each
 /// covering that fragment's whole splice, with `rows_edited` / `edges`
 /// on its end event) and `routing` — lie inside it and cover at least
-/// 80 % of it; the threaded driver emits the same set; and the capture
-/// still nests per `(pid, tid)` for the bench parser.
+/// 80 % of it; the threaded driver emits the same set; the vertex-cut
+/// patch emits `resolve_edit` and one `repack` per changed fragment;
+/// and the capture still nests per `(pid, tid)` for the bench parser.
 #[test]
 fn apply_delta_children_cover_the_structural_apply() {
-    use grape_aap::delta::apply::apply_to_fragments_par_traced;
+    use grape_aap::delta::apply::apply_to_fragments_par;
     use grape_aap::graph::mutate::EditBuffers;
-    use grape_aap::graph::partition::{build_fragments_n, hash_partition};
+    use grape_aap::graph::partition::{
+        build_fragments_n, build_fragments_vertex_cut_n, hash_partition, vertex_cut_partition,
+    };
     use grape_aap::trace::Phase;
 
     let g = grape_aap::graph::generate::rmat(13, 16, true, 3);
@@ -161,14 +164,17 @@ fn apply_delta_children_cover_the_structural_apply() {
     }
     let delta = delta.build();
 
-    for threads in [1usize, 2] {
-        let mut frags = build_fragments_n(&g, &hash_partition(&g, 4), 4);
+    for (vertex_cut, threads) in [(false, 1usize), (false, 2), (true, 1)] {
+        let mut frags = if vertex_cut {
+            build_fragments_vertex_cut_n(&g, &vertex_cut_partition(&g, 4), 4)
+        } else {
+            build_fragments_n(&g, &hash_partition(&g, 4), 4)
+        };
         let rec = Arc::new(Recorder::with_capacity(1 << 10));
-        let tracer = Tracer::new(Arc::clone(&rec));
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            let bufs = &mut EditBuffers::default();
-            apply_to_fragments_par_traced(&mut refs, &delta, bufs, threads, &tracer)
+            let bufs = &mut EditBuffers::traced(Tracer::new(Arc::clone(&rec)));
+            apply_to_fragments_par(&mut refs, &delta, bufs, threads)
         };
         let events = rec.events();
         check_chrome_trace(&chrome_trace_json(&events)).expect("delta capture must nest");
@@ -183,7 +189,7 @@ fn apply_delta_children_cover_the_structural_apply() {
                 Phase::End => {
                     let begun = open.get_mut(&e.tid).and_then(Vec::pop).expect("end after begin");
                     spans.push((e.name, begun, e.ts_us));
-                    if e.name == "repack" {
+                    if e.name == "repack" && !vertex_cut {
                         assert!(e.args.get("rows_edited").is_some(), "{:?}", e.args);
                         assert!(e.args.get("edges").is_some(), "{:?}", e.args);
                     }
@@ -192,15 +198,21 @@ fn apply_delta_children_cover_the_structural_apply() {
             }
         }
         let count = |name: &str| spans.iter().filter(|s| s.0 == name).count();
-        let &(_, start, end) =
-            spans.iter().find(|s| s.0 == "apply_delta").expect("apply_delta span");
         let changed = applied.changed.iter().filter(|&&c| c).count();
+        assert!(changed > 0, "vertex_cut = {vertex_cut}: the batch changes fragments");
+        assert_eq!(count("apply_delta"), 1);
         assert_eq!(count("repack"), changed, "threads = {threads}: one repack per changed");
         assert_eq!(count("resolve_edit"), 1);
-        assert_eq!(count("routing"), 1);
+        let &(_, start, end) =
+            spans.iter().find(|s| s.0 == "apply_delta").expect("apply_delta span");
         let mut children: Vec<(u64, u64)> =
             spans.iter().filter(|s| s.0 != "apply_delta").map(|s| (s.1, s.2)).collect();
         assert!(children.iter().all(|&(s, e)| start <= s && e <= end), "children lie inside");
+        if vertex_cut {
+            // The vertex-cut patch rebuilds its routing tables unspanned.
+            continue;
+        }
+        assert_eq!(count("routing"), 1);
         children.sort_unstable();
         let (mut covered, mut upto) = (0, start);
         for (s, e) in children {
@@ -219,6 +231,50 @@ fn apply_delta_children_cover_the_structural_apply() {
             );
         }
     }
+}
+
+/// A restored session keeps tracing its applies: the log replay during
+/// `restore` and a live apply afterwards each emit one `apply_delta`
+/// span with its `repack` children into the restored session's sink.
+#[test]
+fn restored_session_keeps_tracing_its_applies() {
+    let g = grape_aap::graph::generate::small_world(80, 2, 0.2, 4);
+    let dir = aap_testkit::scratch_dir("trace_restore");
+    let rec = Arc::new(Recorder::with_capacity(1 << 16));
+    let delta = |v: u32| {
+        let mut b = DeltaBuilder::new();
+        b.add_edge(0, v, 1);
+        b.build()
+    };
+    let mut session = Session::builder(g)
+        .partition(edge_cut(2))
+        .program("sssp", Sssp)
+        .durability(DurabilityPolicy::new(&dir))
+        .unwrap()
+        .trace(Arc::clone(&rec))
+        .open()
+        .unwrap();
+    session.query::<Sssp>("sssp", &0).unwrap();
+    session.checkpoint().unwrap();
+    // Logged after the checkpoint, so the restore replays it.
+    session.apply(&delta(40)).unwrap();
+    drop(session);
+
+    let begun = |name: &str| {
+        let events = rec.events();
+        events.iter().filter(|e| e.name == name && e.ph == grape_aap::trace::Phase::Begin).count()
+    };
+    let (applies, repacks) = (begun("apply_delta"), begun("repack"));
+    assert_eq!(applies, 1, "the live session traced its apply");
+    let mut restored: Session<(), u32, _> =
+        Session::restore(&dir).program("sssp", Sssp).trace(Arc::clone(&rec)).open().unwrap();
+    assert_eq!(begun("apply_delta"), applies + 1, "the replayed apply is traced");
+    restored.apply(&delta(41)).unwrap();
+    assert_eq!(begun("apply_delta"), applies + 2, "an apply after restore is traced");
+    assert!(begun("repack") >= repacks + 2, "each traced apply repacks");
+    assert_eq!(rec.dropped(), 0, "recorder window too small");
+    drop(restored);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
