@@ -4,7 +4,8 @@
 //! threads. Message passing is point-to-point and push-based: a completing
 //! round locks only the destination's inbox, so no global synchronisation
 //! barrier exists on the async path. Each worker's next round is gated by
-//! the delay-stretch function `δ` of [`crate::policy`]; a suspended worker
+//! the delay-stretch function `δ` of [`crate::policy`], applied between
+//! rounds by the [`crate::coord::Coordinator`]; a suspended worker
 //! releases its thread to other virtual workers, which is exactly the
 //! paper's "resources are allocated to other (virtual) workers to do useful
 //! computation".
@@ -20,9 +21,10 @@
 //!   inactive; any arriving message revives it; the run ends when no worker
 //!   is active and no messages are buffered).
 
+use crate::coord::{Action, Coordinator, Status};
 use crate::inbox::{DrainInfo, Inbox};
 use crate::pie::{Batch, PieProgram, UpdateCtx, WarmStart};
-use crate::policy::{self, Decision, Mode, PolicyState, SharedRates};
+use crate::policy::{self, Mode};
 use crate::scratch::{Scratch, SharedPool};
 use crate::stats::{RunStats, WorkerStats};
 use crate::step::Step;
@@ -31,9 +33,9 @@ use aap_graph::{FragId, Fragment, LocalId, VertexId};
 use aap_trace::{cat, pid, Args, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Engine construction options.
 #[derive(Debug, Clone)]
@@ -407,16 +409,6 @@ pub struct Engine<V, E> {
     tracer: Tracer,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Status {
-    Ready,
-    Running,
-    /// Suspended with an optional wake deadline; `None` = held until the
-    /// global round bounds move or a message arrives.
-    Suspended(Option<Instant>),
-    Inactive,
-}
-
 struct Cell<Val, St> {
     inbox: Mutex<Inbox<Val>>,
     /// Mirror of `inbox.eta()`, readable without the inbox lock.
@@ -427,8 +419,6 @@ struct Cell<Val, St> {
     /// this virtual worker touches it, so the lock is uncontended; it
     /// exists to satisfy `Sync` for the scoped-thread sharing.
     scratch: Mutex<Scratch<Val>>,
-    /// Completed rounds (`ri`); PEval completion sets this to 1.
-    rounds: AtomicU32,
 }
 
 impl<Val, St> Cell<Val, St> {
@@ -439,7 +429,6 @@ impl<Val, St> Cell<Val, St> {
             state: Mutex::new(None),
             stats: Mutex::new(WorkerStats::default()),
             scratch: Mutex::new(Scratch::default()),
-            rounds: AtomicU32::new(0),
         }
     }
 
@@ -461,42 +450,49 @@ impl<Val, St> Cell<Val, St> {
     }
 }
 
-struct Coord {
-    status: Vec<Status>,
-    suspend_began: Vec<Option<Instant>>,
-    /// Vertex-centric adapters may have local-only work pending.
-    local_work: Vec<bool>,
-    pstates: Vec<PolicyState>,
+/// The async driver's shared state, under one mutex: the coordinator, the
+/// queue of workers it told to run, and its action buffer.
+struct Sched {
+    coord: Coordinator,
     ready: VecDeque<usize>,
-    /// Workers in {Ready, Running, Suspended}.
-    pending: usize,
+    acts: Vec<Action>,
     done: bool,
     aborted: bool,
-    rmin: u32,
-    rmax: u32,
 }
 
-impl Coord {
-    /// Recompute `rmin`/`rmax` over non-inactive workers (§3 "bounds rmin
-    /// and rmax"); inactive workers would otherwise pin `rmin` forever and
-    /// deadlock lockstep modes. Returns whether either bound moved.
-    fn recompute_bounds<Val, St>(&mut self, cells: &[Cell<Val, St>]) -> bool {
-        let mut rmin = u32::MAX;
-        let mut rmax = 0;
-        for (w, st) in self.status.iter().enumerate() {
-            let r = cells[w].rounds.load(Ordering::Relaxed);
-            rmax = rmax.max(r);
-            if !matches!(st, Status::Inactive) {
-                rmin = rmin.min(r);
+impl Sched {
+    /// Carry out the coordinator's last actions at `now`: queue the
+    /// workers to run and book the suspensions they end. The calling
+    /// thread takes the next ready worker itself, so another thread is
+    /// woken only for work beyond that.
+    fn apply<Val, St>(&mut self, cells: &[Cell<Val, St>], cv: &Condvar, now: f64) {
+        for a in &self.acts {
+            if let Some(since) = a.suspended_since {
+                cells[a.w].stats.lock().suspend_time += (now - since).max(0.0);
+            }
+            match a.to {
+                Status::Running => {
+                    self.ready.push_back(a.w);
+                    if self.ready.len() > 1 {
+                        cv.notify_one();
+                    }
+                }
+                // A sleeping thread may need to adopt this (possibly
+                // earlier) wake deadline.
+                Status::Suspended(Some(_)) => cv.notify_one(),
+                _ => {}
             }
         }
-        if rmin == u32::MAX {
-            rmin = rmax;
+    }
+
+    /// End the run once every worker is inactive; true if it has ended.
+    /// Call only after every delivered batch was reported as arrived.
+    fn check_done(&mut self, cv: &Condvar) -> bool {
+        if self.coord.is_done() {
+            self.done = true;
+            cv.notify_all();
         }
-        let changed = rmin != self.rmin || rmax != self.rmax;
-        self.rmin = rmin;
-        self.rmax = rmax;
-        changed
+        self.done
     }
 }
 
@@ -722,7 +718,6 @@ where
                             |_| t0.elapsed().as_secs_f64(),
                         );
                         r.fold_into(&mut cell.stats.lock());
-                        cell.rounds.fetch_add(1, Ordering::Relaxed);
                         *outs[i].lock() = (scratch.take_out(), r.local_work);
                         if self.tracer.enabled() {
                             self.tracer.end(
@@ -771,92 +766,70 @@ where
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State + Sync,
     {
         let m = cells.len();
-        let rates = SharedRates::new(m);
-        let l0 = match &self.opts.mode {
-            Mode::Aap(cfg) => policy::l_floor(cfg, m),
-            _ => 0.0,
-        };
-        let coord = Mutex::new(Coord {
-            status: vec![Status::Ready; m],
-            suspend_began: vec![None; m],
-            local_work: vec![false; m],
-            pstates: (0..m).map(|_| PolicyState::new(l0)).collect(),
+        let sched = Mutex::new(Sched {
+            coord: Coordinator::new(self.opts.mode.clone(), m),
             ready: (0..m).collect(),
-            pending: m,
+            acts: Vec::with_capacity(m),
             done: m == 0,
             aborted: false,
-            rmin: 0,
-            rmax: 0,
         });
         let cv = Condvar::new();
         std::thread::scope(|s| {
             for _ in 0..nthreads {
-                s.spawn(|| self.async_worker_loop(step, cells, &coord, &cv, &rates, start));
+                s.spawn(|| self.async_worker_loop(step, cells, &sched, &cv, start));
             }
         });
-        coord.into_inner().aborted
+        sched.into_inner().aborted
     }
 
     fn async_worker_loop<P, F>(
         &self,
         step: &Step<'_, P, P::Query, F>,
         cells: &[Cell<P::Val, P::State>],
-        coord: &Mutex<Coord>,
+        sched: &Mutex<Sched>,
         cv: &Condvar,
-        rates: &SharedRates,
         start: Instant,
     ) where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State + Sync,
     {
+        let eta = |v: usize| cells[v].eta.load(Ordering::Relaxed);
         loop {
-            // --- acquire a runnable virtual worker ---
-            let w = {
-                let mut c = coord.lock();
-                loop {
-                    if c.done {
-                        return;
+            // --- acquire a runnable virtual worker, waking due ones ---
+            let mut guard = sched.lock();
+            let (w, round) = loop {
+                let s = &mut *guard;
+                let now = start.elapsed().as_secs_f64();
+                s.coord.wake_due(now, eta, &mut s.acts);
+                s.apply(cells, cv, now);
+                if s.check_done(cv) {
+                    return;
+                }
+                if let Some(w) = s.ready.pop_front() {
+                    break (w, s.coord.round(w));
+                }
+                // Sleep until the earliest wake deadline (or a
+                // notification from another thread).
+                match s.coord.next_deadline() {
+                    Some(t) => {
+                        let at = start + Duration::from_secs_f64(t.clamp(0.0, 1e7));
+                        cv.wait_until(&mut guard, at);
                     }
-                    promote_due(&mut c, cells, Instant::now());
-                    if let Some(w) = c.ready.pop_front() {
-                        c.status[w] = Status::Running;
-                        break w;
-                    }
-                    // Sleep until the earliest suspend deadline (or a
-                    // notification from another thread).
-                    let deadline = c
-                        .status
-                        .iter()
-                        .filter_map(|s| match s {
-                            Status::Suspended(Some(t)) => Some(*t),
-                            _ => None,
-                        })
-                        .min();
-                    match deadline {
-                        Some(t) => {
-                            cv.wait_until(&mut c, t);
-                        }
-                        None => {
-                            cv.wait(&mut c);
-                        }
-                    }
+                    None => cv.wait(&mut guard),
                 }
             };
+            drop(guard);
 
             // --- execute one round of worker w ---
             let (frag, cell) = (&self.frags[w], &cells[w]);
             let mut scratch = cell.scratch.lock();
             let now0 = start.elapsed().as_secs_f64();
             let t0 = Instant::now();
-            let round = cell.rounds.load(Ordering::Relaxed);
             let traced = self.tracer.enabled();
             self.trace_round(w, round);
             let drain = |s: &mut Scratch<P::Val>| {
                 let info = cell.drain(step.prog, frag, s);
-                let mut c = coord.lock();
-                let (avg, fast) = (rates.avg_rate(), rates.fast_count());
-                let ps = &mut c.pstates[w];
-                policy::on_drain(&self.opts.mode, ps, info.batches, now0, cells.len(), avg, fast);
+                sched.lock().coord.drained(w, info.batches, now0);
                 info
             };
             let r = step.round(w, frag, round, &mut scratch, &mut cell.state.lock(), drain, |_| {
@@ -879,89 +852,31 @@ where
                 self.tracer.end(pid::ENGINE, w as u32, cat::ROUND, "round", Args::new());
             }
 
-            // --- post-round coordination ---
+            // --- post-round coordination: this worker's fate, then the
+            // arrivals it caused, then the done check ---
             let now1 = start.elapsed().as_secs_f64();
-            {
-                let mut c = coord.lock();
-                cell.rounds.store(round + 1, Ordering::Relaxed);
-                if self.opts.max_rounds.is_some_and(|maxr| round + 1 > maxr) {
-                    c.done = true;
-                    c.aborted = true;
-                    cv.notify_all();
-                    return;
-                }
-                c.local_work[w] = r.local_work;
-                policy::finish_round(&self.opts.mode, &mut c.pstates[w], rates, w, r.compute, now1);
-                c.recompute_bounds(cells);
-
-                // Decide the fate of this worker.
-                let (d, seen) = self.decide(&c, cells, rates, w, now1);
-                if traced {
-                    self.tracer.instant(
-                        pid::ENGINE,
-                        w as u32,
-                        cat::POLICY,
-                        "decision",
-                        policy::decision_args(d, &seen),
-                    );
-                }
-                apply_decision(&mut c, cells, cv, w, d, true);
-
-                // Message arrivals re-evaluate their targets (§3: "when Pi
-                // receives a new message, DSi is adjusted").
-                for &dst in &dests {
-                    let dst = dst as usize;
-                    if matches!(c.status[dst], Status::Ready | Status::Running) {
-                        continue;
-                    }
-                    let (d, _) = self.decide(&c, cells, rates, dst, now1);
-                    apply_decision(&mut c, cells, cv, dst, d, false);
-                }
-                scratch.touched_dests = dests;
-
-                // Round-bound movement can release held workers (BSP-like
-                // holds, SSP bounds, AAP staleness predicate).
-                c.recompute_bounds(cells);
-                let held: Vec<usize> = c
-                    .status
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| matches!(s, Status::Suspended(_)))
-                    .map(|(i, _)| i)
-                    .collect();
-                for h in held {
-                    let (d, _) = self.decide(&c, cells, rates, h, now1);
-                    apply_decision(&mut c, cells, cv, h, d, false);
-                }
-
-                if c.pending == 0 {
-                    c.done = true;
-                    cv.notify_all();
+            let mut guard = sched.lock();
+            let s = &mut *guard;
+            if self.opts.max_rounds.is_some_and(|maxr| round + 1 > maxr) {
+                (s.done, s.aborted) = (true, true);
+                cv.notify_all();
+                return;
+            }
+            s.coord.round_done(w, r.local_work, r.compute, now1, eta, &mut s.acts);
+            if traced {
+                for (d, seen) in s.acts.iter().filter(|a| a.w == w).filter_map(|a| a.decided) {
+                    let args = policy::decision_args(d, &seen);
+                    self.tracer.instant(pid::ENGINE, w as u32, cat::POLICY, "decision", args);
                 }
             }
+            s.apply(cells, cv, now1);
+            for &dst in &dests {
+                s.coord.arrived(dst as usize, now1, eta, &mut s.acts);
+                s.apply(cells, cv, now1);
+            }
+            scratch.touched_dests = dests;
+            s.check_done(cv);
         }
-    }
-
-    /// Evaluate δ for worker `w`; also returns the inputs it saw.
-    fn decide<Val, St>(
-        &self,
-        c: &Coord,
-        cells: &[Cell<Val, St>],
-        rates: &SharedRates,
-        w: usize,
-        now: f64,
-    ) -> (Decision, policy::DeltaInputs) {
-        let inputs = policy::DeltaInputs {
-            eta: cells[w].eta.load(Ordering::Relaxed),
-            local_work: c.local_work[w],
-            ri: cells[w].rounds.load(Ordering::Relaxed),
-            rmin: c.rmin,
-            rmax: c.rmax,
-            now,
-            avg_rate: rates.avg_rate(),
-            hsync_sync: rates.hsync_sync(),
-        };
-        (policy::delta(&self.opts.mode, &c.pstates[w], &inputs), inputs)
     }
 }
 
@@ -1020,73 +935,6 @@ fn attach_shared_pool<Val, St>(cells: &[Cell<Val, St>]) {
     let pool: SharedPool<Val> = SharedPool::default();
     for cell in cells {
         cell.scratch.lock().attach_shared_pool(pool.clone());
-    }
-}
-
-/// Move suspended workers whose deadline has passed to the ready queue.
-fn promote_due<Val, St>(c: &mut Coord, cells: &[Cell<Val, St>], now: Instant) {
-    for w in 0..c.status.len() {
-        if let Status::Suspended(Some(t)) = c.status[w] {
-            if t <= now {
-                record_suspend_end(c, cells, w, now);
-                c.status[w] = Status::Ready;
-                c.ready.push_back(w);
-            }
-        }
-    }
-}
-
-fn record_suspend_end<Val, St>(c: &mut Coord, cells: &[Cell<Val, St>], w: usize, now: Instant) {
-    if let Some(began) = c.suspend_began[w].take() {
-        let dt = now.saturating_duration_since(began).as_secs_f64();
-        cells[w].stats.lock().suspend_time += dt;
-    }
-}
-
-/// Apply a δ decision to worker `w`'s scheduler status, maintaining the
-/// `pending` count that drives termination.
-fn apply_decision<Val, St>(
-    c: &mut Coord,
-    cells: &[Cell<Val, St>],
-    cv: &Condvar,
-    w: usize,
-    d: Decision,
-    was_running: bool,
-) {
-    let now = Instant::now();
-    let old = c.status[w];
-    let new_status = match d {
-        Decision::Run => Status::Ready,
-        Decision::Delay(ds) => {
-            let dl = now + std::time::Duration::from_secs_f64(ds.clamp(0.0, 3600.0));
-            Status::Suspended(Some(dl))
-        }
-        Decision::Hold => Status::Suspended(None),
-        Decision::Inactive => Status::Inactive,
-    };
-    // Suspend-time accounting across the transition.
-    match (old, new_status) {
-        (Status::Suspended(_), Status::Suspended(_)) => {} // keep original start
-        (Status::Suspended(_), _) => record_suspend_end(c, cells, w, now),
-        (_, Status::Suspended(_)) => c.suspend_began[w] = Some(now),
-        _ => {}
-    }
-    if matches!(new_status, Status::Ready) && (was_running || !matches!(old, Status::Ready)) {
-        c.ready.push_back(w);
-        cv.notify_one();
-    }
-    if matches!(new_status, Status::Suspended(Some(_))) {
-        // A sleeping scheduler thread may need to adopt this (possibly
-        // earlier) wake deadline.
-        cv.notify_one();
-    }
-    c.status[w] = new_status;
-    let was_pending = was_running || !matches!(old, Status::Inactive);
-    let is_pending = !matches!(new_status, Status::Inactive);
-    match (was_pending, is_pending) {
-        (true, false) => c.pending -= 1,
-        (false, true) => c.pending += 1,
-        _ => {}
     }
 }
 

@@ -9,6 +9,8 @@
 //!   update parameters and aggregate functions;
 //! * [`policy`] — execution modes (BSP, AP, SSP, AAP, Hsync) expressed as
 //!   instances of the delay-stretch function `δ` (Eq. 1);
+//! * [`coord`] — the [`coord::Coordinator`]: δ's decide, suspend and
+//!   wake between rounds, one state machine both runtimes drive;
 //! * [`inbox`] — the per-worker message buffer `Bx̄i` with staleness
 //!   tracking;
 //! * [`backend`] — the [`Backend`] trait both runtimes implement, which
@@ -90,6 +92,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod coord;
 pub mod engine;
 pub mod inbox;
 pub mod pie;

@@ -21,7 +21,6 @@
 //! global AP/BSP switch driven by the observed straggler ratio.
 
 use crate::pie::Round;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Parallel-execution mode: which `δ` the workers run under.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,8 +181,6 @@ pub struct DeltaInputs {
     /// Current time (seconds for the threaded engine, virtual units for the
     /// simulator).
     pub now: f64,
-    /// Mean arrival rate across workers (for the `Li` heuristic).
-    pub avg_rate: f64,
     /// Hsync only: is the global switch currently in lockstep (BSP) phase?
     pub hsync_sync: bool,
 }
@@ -307,17 +304,9 @@ pub fn on_drain(
     };
 }
 
-/// Fold a completed round of worker `w` into the policy: update its
-/// round-time estimate `ti`, publish its `si`/`ti` to the shared mirrors
-/// δ reads, and (Hsync) let the global AP/BSP switch observe the round.
-pub fn finish_round(
-    mode: &Mode,
-    ps: &mut PolicyState,
-    rates: &SharedRates,
-    w: usize,
-    round_time: f64,
-    now: f64,
-) {
+/// Fold a completed round into the policy: update the round-time
+/// estimate `ti` and restart the idle clock.
+pub fn finish_round(mode: &Mode, ps: &mut PolicyState, round_time: f64, now: f64) {
     let alpha = match mode {
         Mode::Aap(cfg) => cfg.ewma_alpha,
         _ => 0.3,
@@ -328,10 +317,6 @@ pub fn finish_round(
         alpha * round_time + (1.0 - alpha) * ps.t_round
     };
     ps.idle_since = now;
-    rates.publish(w, ps.s_rate, ps.t_round);
-    if let Mode::Hsync(cfg) = mode {
-        rates.hsync_on_round(cfg);
-    }
 }
 
 /// Trace args of one δ evaluation — the `decision` instant both runtimes
@@ -342,106 +327,6 @@ pub fn decision_args(d: Decision, seen: &DeltaInputs) -> aap_trace::Args {
         .with("round", seen.ri)
         .with("eta", seen.eta)
         .with("rmin", seen.rmin)
-}
-
-/// Lock-free mirrors of each worker's `si`/`ti` estimates, so `δ`
-/// evaluations and the Hsync controller can read global statistics without
-/// touching per-worker locks (§6 "statistics collector").
-#[derive(Debug)]
-pub struct SharedRates {
-    rates: Vec<AtomicU64>,
-    times: Vec<AtomicU64>,
-    hsync_sync: AtomicBool,
-    rounds_since_switch_eval: AtomicU64,
-}
-
-impl SharedRates {
-    /// Create for `m` workers. Hsync starts in lockstep (BSP) phase, as
-    /// PowerSwitch starts in sync mode.
-    pub fn new(m: usize) -> Self {
-        SharedRates {
-            rates: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            times: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            hsync_sync: AtomicBool::new(true),
-            rounds_since_switch_eval: AtomicU64::new(0),
-        }
-    }
-
-    /// Publish worker `w`'s current estimates.
-    pub fn publish(&self, w: usize, s_rate: f64, t_round: f64) {
-        self.rates[w].store(s_rate.to_bits(), Ordering::Relaxed);
-        self.times[w].store(t_round.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Mean arrival rate over workers with a measurement.
-    pub fn avg_rate(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for r in &self.rates {
-            let v = f64::from_bits(r.load(Ordering::Relaxed));
-            if v > 0.0 {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    /// Number of "fast" workers: measured round time within 1.5x of the
-    /// median (used for the `L⊥` adjustment of §3).
-    pub fn fast_count(&self) -> usize {
-        let mut ts: Vec<f64> = self
-            .times
-            .iter()
-            .map(|t| f64::from_bits(t.load(Ordering::Relaxed)))
-            .filter(|&t| t > 0.0)
-            .collect();
-        if ts.is_empty() {
-            return 0;
-        }
-        ts.sort_by(|a, b| a.partial_cmp(b).expect("positive finite"));
-        let median = ts[ts.len() / 2];
-        ts.iter().filter(|&&t| t <= 1.5 * median).count()
-    }
-
-    /// `max(ti) / median(ti)` over measured workers — the straggler ratio.
-    pub fn straggler_ratio(&self) -> f64 {
-        let mut ts: Vec<f64> = self
-            .times
-            .iter()
-            .map(|t| f64::from_bits(t.load(Ordering::Relaxed)))
-            .filter(|&t| t > 0.0)
-            .collect();
-        if ts.is_empty() {
-            return 1.0;
-        }
-        ts.sort_by(|a, b| a.partial_cmp(b).expect("positive finite"));
-        let median = ts[ts.len() / 2];
-        if median > 0.0 {
-            ts[ts.len() - 1] / median
-        } else {
-            1.0
-        }
-    }
-
-    /// Current Hsync phase.
-    pub fn hsync_sync(&self) -> bool {
-        self.hsync_sync.load(Ordering::Relaxed)
-    }
-
-    /// Hsync controller hook: called on every round completion; every
-    /// `cfg.window` rounds, re-evaluates the global AP/BSP switch.
-    pub fn hsync_on_round(&self, cfg: &HsyncConfig) {
-        let n = self.rounds_since_switch_eval.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(cfg.window as u64) {
-            let skew = self.straggler_ratio();
-            self.hsync_sync.store(skew < cfg.straggler_threshold, Ordering::Relaxed);
-        }
-    }
 }
 
 impl Mode {
@@ -456,16 +341,7 @@ mod tests {
     use super::*;
 
     fn inputs(eta: usize, ri: Round, rmin: Round, rmax: Round) -> DeltaInputs {
-        DeltaInputs {
-            eta,
-            local_work: false,
-            ri,
-            rmin,
-            rmax,
-            now: 100.0,
-            avg_rate: 1.0,
-            hsync_sync: false,
-        }
+        DeltaInputs { eta, local_work: false, ri, rmin, rmax, now: 100.0, hsync_sync: false }
     }
 
     #[test]
@@ -565,20 +441,6 @@ mod tests {
         on_drain(&mode, &mut ps, 40, 10.0, 8, 1.0, 0);
         assert!(ps.s_rate > 3.9);
         assert!(ps.li > 40.0, "li = {}", ps.li);
-    }
-
-    #[test]
-    fn hsync_switches_on_skew() {
-        let shared = SharedRates::new(4);
-        let cfg = HsyncConfig { window: 1, straggler_threshold: 1.5 };
-        for w in 0..4 {
-            shared.publish(w, 1.0, 1.0);
-        }
-        shared.hsync_on_round(&cfg);
-        assert!(shared.hsync_sync(), "balanced cluster should run sync");
-        shared.publish(3, 1.0, 10.0); // a straggler appears
-        shared.hsync_on_round(&cfg);
-        assert!(!shared.hsync_sync(), "skewed cluster should run async");
     }
 
     #[test]

@@ -1253,8 +1253,10 @@ impl<V, E> VertexCutEdit<V, E> {
 /// vertices incident to changed edges — and every fragment involved in
 /// (b) already holds the vertex or gains it through a named edge.
 ///
-/// An enabled `tracer` receives a per-fragment `repack` span (delta
-/// track, tid = fragment id) around each rebuilt fragment.
+/// An enabled `tracer` receives, on the delta track, a `plan_patch` span
+/// around the derivation of holder sets and edge lists, a per-fragment
+/// `repack` span (tid = fragment id) around each rebuilt fragment, and a
+/// `routing` span around the routing-table rebuild.
 pub fn patch_vertex_cut<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     edit: &VertexCutEdit<V, E>,
@@ -1272,6 +1274,10 @@ where
         "vertex-cut placement is derived; add vertices via `VertexCutEdit::added`"
     );
 
+    let traced = tracer.enabled();
+    if traced {
+        tracer.begin(pid::DELTA, 0, cat::APPLY, "plan_patch", Args::new());
+    }
     // Affected vertices: endpoints of every edge op, removed/added ids,
     // migration targets — plus endpoints of edges dropped *implicitly* by
     // a vertex removal (their holder sets may shrink too).
@@ -1493,8 +1499,14 @@ where
         }
     }
 
+    if traced {
+        let args = Args::new()
+            .with("affected", affected_sorted.len())
+            .with("rebuilt", rebuilt.iter().filter(|&&r| r).count());
+        tracer.end(pid::DELTA, 0, cat::APPLY, "plan_patch", args);
+    }
+
     let old_dests: Vec<Vec<FragId>> = frags.iter().map(|f| f.routing().dests().to_vec()).collect();
-    let traced = tracer.enabled();
     let mut remaps: Vec<StateRemap> = Vec::with_capacity(m);
     let mut seeds: Vec<Vec<LocalId>> = vec![Vec::new(); m];
     for i in 0..m {
@@ -1642,7 +1654,11 @@ where
                 i as u32,
                 cat::APPLY,
                 "repack",
-                Args::new().with("locals", frags[i].local_count()).with("seeds", seeds[i].len()),
+                Args::new()
+                    .with("locals", frags[i].local_count())
+                    .with("seeds", seeds[i].len())
+                    .with("rows_edited", affected_at[i].len())
+                    .with("edges", frags[i].edge_count()),
             );
         }
     }
@@ -1650,7 +1666,15 @@ where
     // Routing: rebuilt fragments plus peers pointing at renumbered ones.
     let changed = rebuilt.clone();
     debug_check(frags, &changed);
-    rebuild_routing_tables_where(frags, &routing_targets(&old_dests, &remaps, rebuilt));
+    if traced {
+        tracer.begin(pid::DELTA, 0, cat::APPLY, "routing", Args::new());
+    }
+    let need = routing_targets(&old_dests, &remaps, rebuilt);
+    rebuild_routing_tables_where(frags, &need);
+    if traced {
+        let args = Args::new().with("tables", need.iter().filter(|&&n| n).count());
+        tracer.end(pid::DELTA, 0, cat::APPLY, "routing", args);
+    }
 
     AppliedEdit { remaps, seeds, weights_decreased, weights_increased, changed }
 }

@@ -4,19 +4,22 @@
 //! does, but with a virtual clock: each round costs
 //! [`CostModel::round_cost`] time units, messages arrive `latency` units
 //! after the sending round completes, and the δ policy of
-//! `aap_core::policy` is evaluated in virtual time. Single-threaded and
-//! fully deterministic: events carry an explicit `(time, tie, seq)` key,
-//! where the canonical tie is the owning worker's id — so the schedule is
-//! stable under heap internals and insertion order, and a seeded
-//! [`ScheduleFuzz`] is the *only* source of order variation.
+//! `aap_core::policy` is applied in virtual time by the same
+//! `aap_core::coord::Coordinator` the threaded engine drives.
+//! Single-threaded and fully deterministic: events carry an explicit
+//! `(time, tie, seq)` key, where the canonical tie is the owning worker's
+//! id — so the schedule is stable under heap internals and insertion
+//! order, and a seeded [`ScheduleFuzz`] is the *only* source of order
+//! variation.
 
 use crate::cost::CostModel;
 use crate::fuzz::ScheduleFuzz;
 use crate::timeline::{timeline_to_trace, Decided, Span, SpanKind, Timeline};
+use aap_core::coord::{Action, Coordinator, Status};
 use aap_core::engine::RunState;
 use aap_core::inbox::Inbox;
-use aap_core::pie::{Batch, PieProgram, UpdateCtx, WarmStart};
-use aap_core::policy::{self, Decision, Mode, PolicyState, SharedRates};
+use aap_core::pie::{Batch, PieProgram, Round, UpdateCtx, WarmStart};
+use aap_core::policy::Mode;
 use aap_core::scratch::{Scratch, SharedPool};
 use aap_core::stats::{RunStats, WorkerStats};
 use aap_core::step::Step;
@@ -162,28 +165,17 @@ impl<Val> Ord for Event<Val> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum WState {
-    Computing,
-    Suspended,
-    Inactive,
-}
-
 struct SimWorker<Val, St> {
     inbox: Inbox<Val>,
     state: Option<St>,
-    pstate: PolicyState,
     stats: WorkerStats,
-    rounds: u32,
+    /// The running or last round's local-work request and start time.
     local_work: bool,
-    wstate: WState,
-    gen: u64,
+    round_started: f64,
     /// Reusable routing/drain buffers — the same zero-hash, zero-alloc
     /// message path the threaded engine runs (`aap_core::scratch`).
     scratch: Scratch<Val>,
     timeline: Timeline,
-    suspend_started: Option<f64>,
-    round_started: f64,
 }
 
 impl<V, E> SimEngine<V, E> {
@@ -384,13 +376,11 @@ impl<V, E> SimEngine<V, E> {
             let mut all_batches: Vec<(FragId, Batch<P::Val>)> = Vec::new();
             for &w in &active {
                 let wk = &mut workers[w];
-                let cost = self.execute_round(step, wk, w, t, |_, _| {});
+                let cost = self.execute_round(step, wk, w, t, |_| {});
                 t_end = t_end.max(t + cost);
                 let mut out = wk.scratch.take_out();
                 all_batches.append(&mut out);
                 wk.scratch.give_out(out);
-                wk.rounds += 1;
-                wk.wstate = WState::Inactive;
             }
             let sent_any = !all_batches.is_empty();
             self.opts.schedule.shuffle_delivery(&mut all_batches, superstep as u64);
@@ -416,217 +406,103 @@ impl<V, E> SimEngine<V, E> {
         let m = self.frags.len();
         let mut workers: Vec<SimWorker<P::Val, P::State>> = (0..m).map(|_| new_worker()).collect();
         attach_shared_pool(&mut workers);
-        let rates = SharedRates::new(m);
-        let l0 = match &self.opts.mode {
-            Mode::Aap(cfg) => policy::l_floor(cfg, m),
-            _ => 0.0,
-        };
-        for w in &mut workers {
-            w.pstate = PolicyState::new(l0);
-        }
-        let mut ev = EventLoop { step, rates: &rates, queue: BinaryHeap::new(), seq: 0 };
-        let mut now = 0.0f64;
-        let mut aborted = false;
+        let mut coord = Coordinator::new(self.opts.mode.clone(), m);
+        let mut acts = Vec::with_capacity(m);
+        let mut ev = Events { heap: BinaryHeap::new(), seq: 0 };
+        let fuzz = &self.opts.schedule;
+        let (mut now, mut aborted) = (0.0f64, false);
 
         // PEval everywhere at t = 0.
         for (w, wk) in workers.iter_mut().enumerate() {
-            let cost = self.execute_round(step, wk, w, 0.0, |_, _| {});
-            ev.seq += 1;
-            let tie = self.opts.schedule.tie(w, ev.seq);
-            ev.queue.push(Event { time: cost, tie, seq: ev.seq, kind: EventKind::Finish { w } });
+            let cost = self.execute_round(step, wk, w, 0.0, |_| {});
+            ev.push(fuzz, cost, EventKind::Finish { w });
         }
 
-        while let Some(event) = ev.queue.pop() {
+        while let Some(event) = ev.heap.pop() {
             now = event.time;
             match event.kind {
                 EventKind::Finish { w } => {
-                    // Bounds before this event's mutations; if the event
-                    // raises them, held (lockstep) workers are re-evaluated.
-                    // This must be per-event: an Arrive can revive a
-                    // behind-round worker between finishes, dipping rmin
-                    // and re-suspending fast workers, so a cache of the
-                    // last finish-time bounds goes stale.
-                    let b_pre = bounds(&workers);
-                    workers[w].rounds += 1;
-                    if self.opts.max_rounds.is_some_and(|maxr| workers[w].rounds > maxr) {
+                    let wk = &mut workers[w];
+                    if self.opts.max_rounds.is_some_and(|maxr| wk.stats.rounds > maxr as u64) {
                         aborted = true;
                         break;
                     }
-                    // Dispatch the round's messages.
-                    let mut outs = workers[w].scratch.take_out();
+                    // Dispatch the round's messages, ahead of any event
+                    // the coordinator's decisions schedule.
+                    let mut outs = wk.scratch.take_out();
                     for (dst, b) in outs.drain(..) {
-                        ev.seq += 1;
-                        let seq = ev.seq;
                         // Fuzzed delivery: stretch this batch's latency by
                         // a per-(link, message) factor in
                         // [1, 1 + reorder_window] — bounded reorder, never
                         // earlier than the configured latency.
-                        let latency = self.opts.latency
-                            * self.opts.schedule.delivery_factor(w, dst as usize, seq);
-                        let tie = self.opts.schedule.tie(dst as usize, seq);
-                        ev.queue.push(Event {
-                            time: now + latency,
-                            tie,
-                            seq,
-                            kind: EventKind::Arrive { w: dst as usize, batch: b },
-                        });
+                        let factor = fuzz.delivery_factor(w, dst as usize, ev.seq + 1);
+                        let (time, w) = (now + self.opts.latency * factor, dst as usize);
+                        ev.push(fuzz, time, EventKind::Arrive { w, batch: b });
                     }
-                    let wk = &mut workers[w];
                     wk.scratch.give_out(outs);
-                    let dt = now - wk.round_started;
-                    policy::finish_round(&self.opts.mode, &mut wk.pstate, &rates, w, dt, now);
-                    wk.wstate = WState::Inactive; // provisional; δ below
-                    let b = bounds(&workers);
-                    self.evaluate(&mut ev, &mut workers, w, now, b);
-                    // Round bounds moved: held workers may now be released.
-                    let b2 = bounds(&workers);
-                    if b2 != b_pre || b2 != b {
-                        let held: Vec<usize> = (0..m)
-                            .filter(|&h| h != w && workers[h].wstate == WState::Suspended)
-                            .collect();
-                        for h in held {
-                            self.evaluate(&mut ev, &mut workers, h, now, b2);
-                        }
-                    }
+                    let (local_work, dt) = (wk.local_work, now - wk.round_started);
+                    let eta = |v: usize| workers[v].inbox.eta();
+                    coord.round_done(w, local_work, dt, now, eta, &mut acts);
                 }
                 EventKind::Arrive { w, batch } => {
                     workers[w].receive(batch);
-                    if workers[w].wstate != WState::Computing {
-                        let b = bounds(&workers);
-                        self.evaluate(&mut ev, &mut workers, w, now, b);
-                    }
+                    coord.arrived(w, now, |v| workers[v].inbox.eta(), &mut acts);
                 }
                 EventKind::Wake { w, gen } => {
-                    if workers[w].gen == gen && workers[w].wstate == WState::Suspended {
-                        // Suspension exceeded DSi: activate (§3).
-                        if !workers[w].inbox.is_empty() || workers[w].local_work {
-                            self.start_round(&mut ev, &mut workers, w, now);
-                        } else {
-                            let b_pre = bounds(&workers);
-                            end_suspend(&mut workers[w], now);
-                            workers[w].wstate = WState::Inactive;
-                            let b2 = bounds(&workers);
-                            if b2 != b_pre {
-                                let held: Vec<usize> = (0..workers.len())
-                                    .filter(|&h| workers[h].wstate == WState::Suspended)
-                                    .collect();
-                                for h in held {
-                                    self.evaluate(&mut ev, &mut workers, h, now, b2);
-                                }
-                            }
-                        }
-                    }
+                    coord.due(w, gen, now, |v| workers[v].inbox.eta(), &mut acts);
                 }
             }
+            // Act in decision order, so events scheduled at one time keep
+            // their `seq` order.
+            for a in &acts {
+                self.act(step, &mut ev, &mut workers, &mut coord, a, now);
+            }
         }
-        if !aborted {
-            let stuck: Vec<String> = workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.wstate != WState::Inactive || !w.inbox.is_empty())
-                .map(|(i, w)| {
-                    format!(
-                        "P{i}: state={:?} rounds={} eta={} local_work={}",
-                        w.wstate,
-                        w.rounds,
-                        w.inbox.eta(),
-                        w.local_work
-                    )
-                })
-                .collect();
-            debug_assert!(
-                stuck.is_empty(),
-                "policy deadlock under {:?}, stuck workers: {stuck:#?}",
-                self.opts.mode
-            );
-        }
+        debug_assert!(
+            aborted || (coord.is_done() && workers.iter().all(|w| w.inbox.is_empty())),
+            "policy deadlock under {:?}: {:?}",
+            self.opts.mode,
+            (0..m).map(|w| (coord.status(w), workers[w].inbox.eta())).collect::<Vec<_>>()
+        );
         finish(&self.opts.mode, workers, now, aborted)
     }
 
-    /// Evaluate δ for worker `w` and act on the decision, given the
-    /// current round bounds (computed once per event — evaluating each
-    /// suspended worker must not rescan the cluster, or large-`m` runs
-    /// become quadratic). With a tracer attached, the evaluation is
-    /// recorded in the worker's timeline.
-    fn evaluate<P, F>(
+    /// Carry out one coordinator action at `now`: record the δ evaluation
+    /// (with a tracer attached), close an ended suspension, and start a
+    /// round or schedule the wake.
+    fn act<P, F>(
         &self,
-        ev: &mut EventLoop<'_, Step<'_, P, P::Query, F>, P::Val>,
+        step: &Step<'_, P, P::Query, F>,
+        ev: &mut Events<P::Val>,
         workers: &mut [SimWorker<P::Val, P::State>],
-        w: usize,
+        coord: &mut Coordinator,
+        a: &Action,
         now: f64,
-        (rmin, rmax): (u32, u32),
     ) where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
     {
-        debug_assert_ne!(workers[w].wstate, WState::Computing);
-        let inputs = policy::DeltaInputs {
-            eta: workers[w].inbox.eta(),
-            local_work: workers[w].local_work,
-            ri: workers[w].rounds,
-            rmin,
-            rmax,
-            now,
-            avg_rate: ev.rates.avg_rate(),
-            hsync_sync: ev.rates.hsync_sync(),
-        };
-        let d = policy::delta(&self.opts.mode, &workers[w].pstate, &inputs);
-        if self.tracer.enabled() {
-            workers[w].timeline.decisions.push(Decided { at: now, decision: d, seen: inputs });
+        let (w, wk) = (a.w, &mut workers[a.w]);
+        if let (Some((decision, seen)), true) = (a.decided, self.tracer.enabled()) {
+            wk.timeline.decisions.push(Decided { at: now, decision, seen });
         }
-        match d {
-            Decision::Run => {
-                self.start_round(ev, workers, w, now);
-            }
-            Decision::Delay(ds) => {
-                begin_suspend(&mut workers[w], now);
-                workers[w].wstate = WState::Suspended;
-                workers[w].gen += 1;
-                ev.seq += 1;
-                ev.queue.push(Event {
-                    time: now + ds,
-                    tie: self.opts.schedule.tie(w, ev.seq),
-                    seq: ev.seq,
-                    kind: EventKind::Wake { w, gen: workers[w].gen },
-                });
-            }
-            Decision::Hold => {
-                begin_suspend(&mut workers[w], now);
-                workers[w].wstate = WState::Suspended;
-                workers[w].gen += 1; // cancel pending wakes
-            }
-            Decision::Inactive => {
-                end_suspend(&mut workers[w], now);
-                workers[w].wstate = WState::Inactive;
-            }
+        if let Some(since) = a.suspended_since {
+            end_suspend(wk, since, now);
         }
-    }
-
-    /// Start a round at virtual time `t`: drain, execute, schedule Finish.
-    fn start_round<P, F>(
-        &self,
-        ev: &mut EventLoop<'_, Step<'_, P, P::Query, F>, P::Val>,
-        workers: &mut [SimWorker<P::Val, P::State>],
-        w: usize,
-        t: f64,
-    ) where
-        P: PieProgram<V, E>,
-        F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
-    {
-        end_suspend(&mut workers[w], t);
-        let (m, avg, fast) = (workers.len(), ev.rates.avg_rate(), ev.rates.fast_count());
-        let on_drain = |ps: &mut PolicyState, eta: usize| {
-            policy::on_drain(&self.opts.mode, ps, eta, t, m, avg, fast);
-        };
-        let cost = self.execute_round(ev.step, &mut workers[w], w, t, on_drain);
-        workers[w].gen += 1; // cancel pending wakes
-        ev.seq += 1;
-        let tie = self.opts.schedule.tie(w, ev.seq);
-        ev.queue.push(Event { time: t + cost, tie, seq: ev.seq, kind: EventKind::Finish { w } });
+        match a.to {
+            Status::Running => {
+                let cost = self.execute_round(step, wk, w, now, |n| coord.drained(w, n, now));
+                ev.push(&self.opts.schedule, now + cost, EventKind::Finish { w });
+            }
+            Status::Suspended(Some(t)) => {
+                ev.push(&self.opts.schedule, t, EventKind::Wake { w, gen: a.gen });
+            }
+            Status::Suspended(None) | Status::Inactive => {}
+        }
     }
 
     /// One round of worker `w` through the shared [`Step`], priced by the
-    /// cost model; `on_drain` sees the batches the drain took. Returns the
+    /// cost model; `drained` sees the batches the drain took. Returns the
     /// round cost and leaves the routed batches in the worker's scratch.
     fn execute_round<P, F>(
         &self,
@@ -634,18 +510,18 @@ impl<V, E> SimEngine<V, E> {
         wk: &mut SimWorker<P::Val, P::State>,
         w: usize,
         t: f64,
-        on_drain: impl FnOnce(&mut PolicyState, usize),
+        drained: impl FnOnce(usize),
     ) -> f64
     where
         P: PieProgram<V, E>,
         F: Fn(usize, &Fragment<V, E>, &mut UpdateCtx<P::Val>) -> P::State,
     {
         let frag = &self.frags[w];
-        let round = wk.rounds;
-        let (inbox, pstate) = (&mut wk.inbox, &mut wk.pstate);
+        let round = wk.stats.rounds as Round;
+        let inbox = &mut wk.inbox;
         let drain = |s: &mut Scratch<P::Val>| {
             let info = inbox.drain_into(step.prog, frag, s);
-            on_drain(pstate, info.batches);
+            drained(info.batches);
             info
         };
         // Rounds whose kernel charges no work are priced by their traffic.
@@ -660,7 +536,6 @@ impl<V, E> SimEngine<V, E> {
         r.fold_into(&mut wk.stats);
         wk.local_work = r.local_work;
         wk.round_started = t;
-        wk.wstate = WState::Computing;
         wk.timeline.spans.push(Span {
             start: t,
             end: t + r.compute,
@@ -673,14 +548,21 @@ impl<V, E> SimEngine<V, E> {
     }
 }
 
-/// The asynchronous event loop's state that a δ evaluation acts on:
-/// starting a round needs the step, and suspending or starting schedules
-/// an event (`seq` numbers them in push order).
-struct EventLoop<'a, S, Val> {
-    step: &'a S,
-    rates: &'a SharedRates,
-    queue: BinaryHeap<Event<Val>>,
+/// The asynchronous run's event heap; `seq` numbers events in push order.
+struct Events<Val> {
+    heap: BinaryHeap<Event<Val>>,
     seq: u64,
+}
+
+impl<Val> Events<Val> {
+    /// Schedule `kind` at `time`, keyed on its worker's tie and the next
+    /// `seq`.
+    fn push(&mut self, fuzz: &ScheduleFuzz, time: f64, kind: EventKind<Val>) {
+        self.seq += 1;
+        let (EventKind::Finish { w } | EventKind::Arrive { w, .. } | EventKind::Wake { w, .. }) =
+            kind;
+        self.heap.push(Event { time, tie: fuzz.tie(w, self.seq), seq: self.seq, kind });
+    }
 }
 
 /// Tear the simulated workers down into run statistics, final states and
@@ -716,16 +598,11 @@ fn new_worker<Val, St>() -> SimWorker<Val, St> {
     SimWorker {
         inbox: Inbox::default(),
         state: None,
-        pstate: PolicyState::new(0.0),
         stats: WorkerStats::default(),
-        rounds: 0,
         local_work: false,
-        wstate: WState::Computing,
-        gen: 0,
+        round_started: 0.0,
         scratch: Scratch::default(),
         timeline: Timeline::default(),
-        suspend_started: None,
-        round_started: 0.0,
     }
 }
 
@@ -738,43 +615,20 @@ fn attach_shared_pool<Val, St>(workers: &mut [SimWorker<Val, St>]) {
     }
 }
 
-/// `rmin`/`rmax` over non-inactive workers (inactive workers must not pin
-/// the lockstep bounds — same rule as the threaded engine).
-fn bounds<Val, St>(workers: &[SimWorker<Val, St>]) -> (u32, u32) {
-    let mut rmin = u32::MAX;
-    let mut rmax = 0;
-    for wk in workers {
-        rmax = rmax.max(wk.rounds);
-        if wk.wstate != WState::Inactive {
-            rmin = rmin.min(wk.rounds);
-        }
-    }
-    if rmin == u32::MAX {
-        rmin = rmax;
-    }
-    (rmin, rmax)
-}
-
-fn begin_suspend<Val, St>(wk: &mut SimWorker<Val, St>, now: f64) {
-    if wk.suspend_started.is_none() {
-        wk.suspend_started = Some(now);
-    }
-}
-
-fn end_suspend<Val, St>(wk: &mut SimWorker<Val, St>, now: f64) {
-    if let Some(s) = wk.suspend_started.take() {
-        let dt = (now - s).max(0.0);
-        wk.stats.suspend_time += dt;
-        if dt > 0.0 {
-            wk.timeline.spans.push(Span {
-                start: s,
-                end: now,
-                round: wk.rounds,
-                work: 0,
-                sent: 0,
-                kind: SpanKind::Suspend,
-            });
-        }
+/// Close a suspension that began at `since`: count it, and draw it in the
+/// timeline.
+fn end_suspend<Val, St>(wk: &mut SimWorker<Val, St>, since: f64, now: f64) {
+    let dt = (now - since).max(0.0);
+    wk.stats.suspend_time += dt;
+    if dt > 0.0 {
+        wk.timeline.spans.push(Span {
+            start: since,
+            end: now,
+            round: wk.stats.rounds as Round,
+            work: 0,
+            sent: 0,
+            kind: SpanKind::Suspend,
+        });
     }
 }
 

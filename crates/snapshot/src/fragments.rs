@@ -159,7 +159,41 @@ fn decode_fragment<V: Codec, E: Codec>(
 /// every decoded fragment) can't see this — each fragment is internally
 /// consistent while naming a peer that lacks the vertex — so it runs
 /// once over the decoded partition.
+///
+/// It also checks the global id space, which each fragment only sees a
+/// slice of: the owned globals across all fragments must be exactly
+/// `0..n` (`n` = Σ owned), each owned once, and every mirror must name
+/// one of them. Otherwise a checksum-valid snapshot would decode and
+/// then index out of bounds in the first query's gather.
 fn validate_partition<V, E>(frags: &[Fragment<V, E>]) -> Result<(), SnapshotError> {
+    let n: usize = frags.iter().map(|f| f.owned_count()).sum();
+    let mut owned = vec![false; n];
+    for f in frags {
+        for l in f.owned_vertices() {
+            let g = f.global(l);
+            match owned.get_mut(g as usize) {
+                Some(seen) if !*seen => *seen = true,
+                Some(_) => {
+                    return Err(SnapshotError::corrupt(format!(
+                        "fragment {}: vertex {g} is owned twice",
+                        f.id()
+                    )))
+                }
+                None => {
+                    return Err(SnapshotError::corrupt(format!(
+                        "fragment {}: owned vertex {g} is outside 0..{n}",
+                        f.id()
+                    )))
+                }
+            }
+        }
+        if let Some(g) = f.mirrors().map(|m| f.global(m)).find(|&g| g as usize >= n) {
+            return Err(SnapshotError::corrupt(format!(
+                "fragment {}: mirror of vertex {g} is outside 0..{n}",
+                f.id()
+            )));
+        }
+    }
     for f in frags {
         for m in f.mirrors() {
             let g = f.global(m);

@@ -94,6 +94,59 @@ fn cross_fragment_inconsistency_is_tagged_not_a_panic() {
     assert!(matches!(err.kind(), ErrorKind::Corrupt { .. }), "{err}");
 }
 
+/// Edgeless fragments, fragment `i` owning the ascending globals
+/// `owned[i]`: each passes every per-fragment check, whatever ids it
+/// claims.
+fn owning(vertex_cut: bool, owned: &[Vec<u32>]) -> Vec<Fragment<(), u32>> {
+    let m = owned.len() as u16;
+    let mut frags = Vec::new();
+    for (i, globals) in owned.iter().enumerate() {
+        let n = globals.len();
+        let g: Graph<(), u32> = Graph::from_csr(true, vec![(); n], vec![0; n + 1], vec![], vec![]);
+        frags.push(Fragment::from_saved_parts(
+            i as u16,
+            m,
+            vertex_cut,
+            g,
+            globals.clone(),
+            n,
+            vec![],
+            vec![],
+            vec![],
+            vec![0; n + 1],
+            vec![],
+        ));
+    }
+    frags
+}
+
+/// A checksum-valid partition whose owned globals are not exactly
+/// `0..n`, each once, must not load: the first query's gather would
+/// index out of bounds.
+fn wrong_global_ids_are_tagged_not_a_panic(vertex_cut: bool) {
+    let sound = owning(vertex_cut, &[(0..20).collect(), (20..40).collect()]);
+    decode(&snapshot_to_bytes::<(), u32, SsspState, _>(&sound, None)).expect("0..40 loads");
+    // 40 vertices, one of them claiming global 166.
+    let out_of_range = owning(vertex_cut, &[(0..19).chain([166]).collect(), (20..40).collect()]);
+    // Vertex 19 owned by both fragments, 39 by none.
+    let owned_twice = owning(vertex_cut, &[(0..20).collect(), (19..39).collect()]);
+    for frags in [out_of_range, owned_twice] {
+        let bytes = snapshot_to_bytes::<(), u32, SsspState, _>(&frags, None);
+        let err = decode(&bytes).expect_err("a broken global id space must not load");
+        assert!(matches!(err.kind(), ErrorKind::Corrupt { .. }), "{err}");
+    }
+}
+
+#[test]
+fn edge_cut_global_ids_must_be_0_to_n_each_once() {
+    wrong_global_ids_are_tagged_not_a_panic(false);
+}
+
+#[test]
+fn vertex_cut_global_ids_must_be_0_to_n_each_once() {
+    wrong_global_ids_are_tagged_not_a_panic(true);
+}
+
 #[test]
 fn trailing_garbage_after_last_section_is_tagged() {
     let mut bytes = sample_bytes();

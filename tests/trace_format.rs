@@ -189,7 +189,7 @@ fn apply_delta_children_cover_the_structural_apply() {
                 Phase::End => {
                     let begun = open.get_mut(&e.tid).and_then(Vec::pop).expect("end after begin");
                     spans.push((e.name, begun, e.ts_us));
-                    if e.name == "repack" && !vertex_cut {
+                    if e.name == "repack" {
                         assert!(e.args.get("rows_edited").is_some(), "{:?}", e.args);
                         assert!(e.args.get("edges").is_some(), "{:?}", e.args);
                     }
@@ -208,10 +208,6 @@ fn apply_delta_children_cover_the_structural_apply() {
         let mut children: Vec<(u64, u64)> =
             spans.iter().filter(|s| s.0 != "apply_delta").map(|s| (s.1, s.2)).collect();
         assert!(children.iter().all(|&(s, e)| start <= s && e <= end), "children lie inside");
-        if vertex_cut {
-            // The vertex-cut patch rebuilds its routing tables unspanned.
-            continue;
-        }
         assert_eq!(count("routing"), 1);
         children.sort_unstable();
         let (mut covered, mut upto) = (0, start);
