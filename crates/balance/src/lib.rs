@@ -18,9 +18,9 @@
 //!   rebalance round never stalls serving.
 //! * **Executor** — [`execute_migration`] applies the plan in place:
 //!   [`aap_graph::mutate::migrate_edge_cut`] for edge-cut
-//!   fragments, the shared vertex-cut patch path
-//!   ([`aap_graph::mutate::patch_vertex_cut`] with owner
-//!   overrides) for vertex-cut. Both return an
+//!   fragments, [`aap_graph::mutate::migrate_vertex_cut`] — the
+//!   delta path's planner and splice, with the moves as forced owners —
+//!   for vertex-cut. Both return an
 //!   [`AppliedEdit`] whose `StateRemap`s carry retained warm state with
 //!   the migrated vertices — the next round is warm, never cold.
 //!
@@ -29,7 +29,7 @@
 
 use aap_graph::fragment::{fragment_cut_edges, PartitionStats};
 use aap_graph::mutate::{
-    migrate_edge_cut, patch_vertex_cut, AppliedEdit, StateRemap, VertexCutEdit, VertexMove,
+    migrate_edge_cut, migrate_vertex_cut, AppliedEdit, StateRemap, VertexMove,
 };
 use aap_graph::{FragId, Fragment, LocalId, VertexId};
 use aap_trace::{cat, pid, Args, Tracer};
@@ -424,19 +424,20 @@ fn plan_vertex_cut<V, E>(frags: &[&Fragment<V, E>], policy: &BalancePolicy) -> M
 /// Apply a migration plan in place.
 ///
 /// Dispatches on the cut kind: edge-cut goes through
-/// [`migrate_edge_cut`] (ownership + adjacency rows move),
-/// vertex-cut through the shared patch path with `owner_overrides`
-/// (ownership flips between existing copies). The returned
-/// [`AppliedEdit`] carries the [`StateRemap`]s and seeds the session
-/// uses to migrate retained warm state.
+/// [`migrate_edge_cut`] (ownership + adjacency rows move), vertex-cut
+/// through [`migrate_vertex_cut`] (ownership flips between existing
+/// copies, rows stay; the same planner and splice a vertex-cut delta
+/// runs through). The returned [`AppliedEdit`] carries the
+/// [`StateRemap`]s and seeds the session uses to migrate retained warm
+/// state.
 pub fn execute_migration<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     plan: &MigrationPlan,
     tracer: &Tracer,
 ) -> AppliedEdit
 where
-    V: Clone,
-    E: Clone + PartialOrd,
+    V: Clone + Send + Sync,
+    E: Clone + PartialOrd + Send + Sync,
 {
     if plan.moves.is_empty() {
         return AppliedEdit {
@@ -448,11 +449,7 @@ where
         };
     }
     if frags.first().is_some_and(|f| f.is_vertex_cut()) {
-        let mut edit = VertexCutEdit::empty(frags.len());
-        for &(v, to) in &plan.moves {
-            edit.owner_overrides.insert(v, to);
-        }
-        patch_vertex_cut(frags, &edit, tracer)
+        migrate_vertex_cut(frags, &plan.moves, tracer)
     } else {
         migrate_edge_cut(frags, &plan.moves, tracer)
     }

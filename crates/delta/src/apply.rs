@@ -3,10 +3,9 @@
 
 use crate::ops::GraphDelta;
 use aap_graph::mutate::{
-    apply_partition_edit, patch_vertex_cut, DeltaSummary, EditBuffers, FragmentEdit, PartitionEdit,
-    StateRemap, VertexCutEdit,
+    apply_partition_edit, DeltaSummary, EditBuffers, FragmentEdit, PartitionEdit, StateRemap,
 };
-use aap_graph::partition::vertex_cut_edge_frag;
+use aap_graph::partition::{vertex_cut_edge_frag, vertex_cut_isolated_home};
 use aap_graph::{fxhash, mutate, FragId, Fragment, FxHashMap, FxHashSet, Graph, LocalId, VertexId};
 use aap_trace::{cat, pid, Args};
 
@@ -116,38 +115,42 @@ where
 /// Replay `delta` onto a partitioned fragment set, **in place** — the one
 /// fragment-side apply.
 ///
-/// Both cut kinds are patched locally: only fragments named by the delta
-/// (or linked to them through mirrors/holders/copies) are touched; dense
-/// routing tables are rebuilt for exactly the affected destinations (see
-/// `aap_graph::mutate`). An edge-cut batch rewrites each touched
-/// fragment with one local-id splice: the batch's ops are sorted
-/// (`O(k log k)` in the batch size `k`), the old CSR streams into the new
-/// one with inserts, removals and overwrites merged on the edited rows
-/// only, and targets map through a dense old→new local table —
-/// `O(|Fi|)` sequential array copy per touched fragment, no hashing or
-/// sorting per retained edge. Rows stay ordered by target global id;
-/// retained parallel `(u, v)` copies keep their order and inserted copies
-/// follow in batch order. Vertex-cut batches route each edge op to its
-/// canonical pair-hash fragment and repack just the holders of affected
-/// vertices (`patch_vertex_cut`).
+/// Both cut kinds are patched locally by one rewriter: only fragments
+/// named by the delta (or linked to them through mirrors/holders/copies)
+/// are touched; dense routing tables are rebuilt for exactly the
+/// affected destinations (see `aap_graph::mutate`). Each touched
+/// fragment is rewritten with one local-id splice: the batch's ops are
+/// sorted (`O(k log k)` in the batch size `k`), the old CSR streams into
+/// the new one with inserts, removals and overwrites merged on the
+/// edited rows only, and targets map through a dense old→new local
+/// table — `O(|Fi|)` sequential array copy per touched fragment, no
+/// hashing or sorting per retained edge. Rows stay ordered by target
+/// global id; retained parallel `(u, v)` copies keep their order and
+/// inserted copies follow in batch order. An edge-cut batch lands each
+/// edge op at the owner of its stored source; a vertex-cut batch at its
+/// canonical pair-hash fragment, and the graph layer's planner derives
+/// holder sets and owners from edge incidence.
 ///
-/// The edge-cut splices, holder updates and routing rebuilds fan out over
-/// up to `threads` scoped worker threads (each phase over as many as it
-/// has work items), byte-identical at every thread count (see
+/// The splices, holder updates and routing rebuilds fan out over up to
+/// `threads` scoped worker threads (each phase over as many as it has
+/// work items), byte-identical at every thread count (see
 /// [`aap_graph::mutate::apply_partition_edit`], pinned by the mutate
-/// proptests); the vertex-cut patch is serial regardless of `threads`
-/// (its batches touch few fragments). `bufs` pools the splice's scratch
-/// (sorted op list, per-local marks) across batches.
+/// proptests and `tests/splice_equiv.rs`). `bufs` pools the splice's
+/// scratch (sorted op list, per-local marks) across batches.
 ///
 /// With a tracer in `bufs` ([`EditBuffers::traced`]) the whole apply
 /// runs under an `apply_delta` span on the delta track, whose children
 /// are the `resolve_edit` phase span, one `repack` span per changed
-/// fragment (tid = fragment id, covering its whole splice) and the
-/// `routing` span of the table rebuilds, the last two from the graph
-/// layer.
+/// fragment (tid = fragment id, covering its whole splice), the
+/// `routing` span of the table rebuilds and, on vertex-cut, the
+/// `plan_vertex_cut` span, the last three from the graph layer.
 ///
-/// New vertices are owned by `hash(id) % m`, consistent with
-/// [`aap_graph::partition::hash_partition`].
+/// New vertices are owned by `hash(id) % m` under edge-cut, consistent
+/// with [`aap_graph::partition::hash_partition`]; under vertex-cut they
+/// go where their edges are, or to their isolated home.
+///
+/// The delta must be valid for `frags` (see [`crate::validate`]); a
+/// malformed one panics.
 pub fn apply_to_fragments_par<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     delta: &GraphDelta<V, E>,
@@ -163,25 +166,20 @@ where
     let tracer = bufs.tracer().clone();
     let traced = tracer.enabled();
     if traced {
-        let threads = if vertex_cut { 1 } else { threads.max(1) };
-        tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", delta_args(delta, threads));
+        let args = delta_args(delta, threads.max(1));
+        tracer.begin(pid::DELTA, 0, cat::APPLY, "apply_delta", args);
         tracer.begin(pid::DELTA, 0, cat::APPLY, "resolve_edit", Args::new());
     }
-    let end_resolve = |touched: usize| {
-        if traced {
-            let args = Args::new().with("touched", touched);
-            tracer.end(pid::DELTA, 0, cat::APPLY, "resolve_edit", args);
-        }
-    };
-    let applied = if vertex_cut {
-        let edit = resolve_vertex_cut_edit(frags, delta);
-        end_resolve(edit.frags.iter().filter(|fe| !fe.is_empty()).count());
-        patch_vertex_cut(frags, &edit, &tracer)
+    let edit = if vertex_cut {
+        resolve_vertex_cut_edit(frags, delta)
     } else {
-        let edit = resolve_edge_cut_edit(frags, delta);
-        end_resolve(edit.touched.iter().filter(|&&t| t).count());
-        apply_partition_edit(frags, &edit, bufs, threads)
+        resolve_edge_cut_edit(frags, delta)
     };
+    if traced {
+        let args = Args::new().with("touched", edit.touched.iter().filter(|&&t| t).count());
+        tracer.end(pid::DELTA, 0, cat::APPLY, "resolve_edit", args);
+    }
+    let applied = apply_partition_edit(frags, &edit, bufs, threads);
     if traced {
         tracer.end(pid::DELTA, 0, cat::APPLY, "apply_delta", Args::new());
     }
@@ -302,13 +300,14 @@ where
 }
 
 /// Resolve a delta against a vertex-cut partition into a
-/// [`VertexCutEdit`]: every edge op lands at its canonical pair-hash
+/// [`PartitionEdit`]: every edge op lands at its canonical pair-hash
 /// fragment (both stored directions of an undirected logical edge share
-/// it), vertex ops pass through.
+/// it), a new vertex's node data at its isolated home, removals pass
+/// through; placement is the graph layer's planner's to derive.
 fn resolve_vertex_cut_edit<V, E>(
     frags: &[&mut Fragment<V, E>],
     delta: &GraphDelta<V, E>,
-) -> VertexCutEdit<V, E>
+) -> PartitionEdit<V, E>
 where
     V: Clone,
     E: Clone + PartialOrd,
@@ -329,9 +328,16 @@ where
             "added vertex ids must extend the dense id space contiguously"
         );
     }
-    let mut edit = VertexCutEdit::empty(m);
-    edit.removed_vertices = delta.vertices_removed().iter().copied().collect();
-    edit.added = delta.vertices_added().to_vec();
+    let mut edit = PartitionEdit {
+        frags: (0..m).map(|_| FragmentEdit::default()).collect::<Vec<_>>(),
+        removed_vertices: delta.vertices_removed().iter().copied().collect(),
+        owners: FxHashMap::default(),
+        touched: vec![false; m],
+    };
+    for (v, d) in delta.vertices_added() {
+        let home = vertex_cut_isolated_home(*v, m) as usize;
+        edit.frags[home].add_owned.push((*v, d.clone()));
+    }
     for (u, v, d) in delta.edges_added() {
         let t = vertex_cut_edge_frag(*u, *v, m) as usize;
         edit.frags[t].insert_edges.push((*u, *v, d.clone()));
@@ -352,6 +358,9 @@ where
         if !directed {
             edit.frags[t].set_weights.push((*v, *u, d.clone()));
         }
+    }
+    for (t, fe) in edit.touched.iter_mut().zip(&edit.frags) {
+        *t = !fe.is_empty();
     }
     edit
 }

@@ -18,6 +18,9 @@
 //!   sets, holder lists, and dense routing tables; see
 //!   `aap_graph::mutate`). Returns the per-fragment [`StateRemap`]s and
 //!   seed vertices a warm engine run needs;
+//! * [`validate`] — check a batch against a fragment set, returning
+//!   [`InvalidDelta`] (naming the offending op) instead of letting the
+//!   apply panic on it;
 //! * [`run_incremental`] — the driver, on either runtime (any
 //!   [`Backend`](aap_core::Backend)): apply
 //!   the delta to an engine's fragments, then warm-start `IncEval` from
@@ -60,6 +63,7 @@ pub mod apply;
 pub mod generate;
 pub mod ops;
 pub mod run;
+pub mod validate;
 
 pub use apply::{apply_to_fragments_par, apply_to_graph, Applied};
 pub use ops::{DeltaBuilder, GraphDelta};
@@ -67,6 +71,7 @@ pub use run::{
     advance, plan_incremental, remap_invalid, replay, run_incremental, run_incremental_with,
     IncrementalOutput, IncrementalPlan,
 };
+pub use validate::{validate, InvalidDelta};
 
 pub use aap_core::pie::WarmStrategy;
 pub use aap_graph::mutate::{DeltaSummary, StateRemap};

@@ -421,7 +421,8 @@ impl<V, E> Fragment<V, E> {
 
     /// Replace the holder CSR and `Fi.I` after a peer gained or lost a
     /// mirror of one of this fragment's owned vertices (delta application;
-    /// see [`crate::mutate`]). The local id space is untouched.
+    /// see [`crate::mutate`]). The local id space is untouched. Under
+    /// vertex-cut `Fi.O'` follows `Fi.I`.
     pub(crate) fn replace_borders(
         &mut self,
         inner_in: Vec<LocalId>,
@@ -430,6 +431,9 @@ impl<V, E> Fragment<V, E> {
     ) {
         debug_assert_eq!(holder_offsets.len(), self.owned + 1);
         debug_assert!(inner_in.windows(2).all(|w| w[0] < w[1]));
+        if self.vertex_cut {
+            self.inner_out.clone_from(&inner_in);
+        }
         self.inner_in = inner_in;
         self.holder_offsets = holder_offsets;
         self.holders = holders;

@@ -337,22 +337,28 @@ struct WorkerBufs {
 }
 
 impl WorkerBufs {
-    /// Zeroed marks for a fragment of `n` locals.
-    fn fresh_marks(&mut self, n: usize) -> &mut [u8] {
+    /// Marks for a fragment of `n` locals, each set to `fill`.
+    fn fresh_marks(&mut self, n: usize, fill: u8) -> &mut [u8] {
         self.marks.clear();
-        self.marks.resize(n, 0);
+        self.marks.resize(n, fill);
         &mut self.marks
     }
 }
 
-/// Mark: some surviving edge targets this local.
+/// Mark: some surviving edge targets this local. Under vertex-cut the
+/// caller pre-sets it on every local that keeps an incident edge.
 const REFERENCED: u8 = 1;
 /// Mark: the vertex is isolated by this batch — its row and every edge
 /// into it vanish, the (owned) id stays.
 const DEAD: u8 = 2;
-/// Mark: the owned vertex migrates away — its row leaves with it; it
-/// stays as a mirror iff a surviving edge still targets it.
+/// Mark: the owned vertex leaves the owned run. Under edge-cut its row
+/// leaves with it (a migration carries it to the new owner); under
+/// vertex-cut the row stays, as a copy's. Either way it stays iff
+/// [`REFERENCED`].
 const MOVED_OUT: u8 = 4;
+/// Mark (vertex-cut planner scan): the batch drops an edge incident to
+/// this local.
+const LOST_EDGE: u8 = 8;
 
 /// What one batch op does to the stored copies of `(u, v)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -377,9 +383,8 @@ struct RowOp {
     t: LocalId,
 }
 
-/// A mirror-set diff produced by a rewrite, delivered to the owner
-/// afterwards: vertex `.0`'s mirror at fragment `.1` was gained (`true`)
-/// or lost (`false`).
+/// A mirror-set diff, delivered to the owner after the rewrites: vertex
+/// `.0`'s copy at fragment `.1` was gained (`true`) or lost (`false`).
 type HolderEvent = (VertexId, FragId, bool);
 
 /// One fragment rewritten by [`splice_fragment`].
@@ -409,15 +414,15 @@ struct SpliceHooks<'a, V, E> {
     on_overwrite: &'a mut dyn FnMut(&E, &E),
 }
 
-/// The owned part of a fragment under construction: pass 1 of
-/// [`splice_fragment`] appends rows here in new local order. Targets
-/// hold *codes* — old local ids, or `old local count + index in ext`
-/// for vertices without one — until the new id space is known.
-struct OwnedRows<'a, V, E> {
+/// A fragment under construction: [`splice_fragment`] appends rows here
+/// in new local order, owned run first. Targets hold *codes* — old local
+/// ids, or `old local count + index in ext` for vertices without one —
+/// until the new id space is known.
+struct Rows<'a, V, E> {
     f: &'a Fragment<V, E>,
     fe: &'a FragmentEdit<V, E>,
     marks: &'a mut [u8],
-    /// Code → new local, filled for owned vertices as their rows land.
+    /// Code → new local, filled as locals land.
     table: Vec<LocalId>,
     globals: Vec<VertexId>,
     nodes: Vec<V>,
@@ -426,9 +431,11 @@ struct OwnedRows<'a, V, E> {
     data: Vec<E>,
     holder_offsets: Vec<u32>,
     holders: Vec<FragId>,
+    /// Inserts written so far.
+    inserted: usize,
 }
 
-impl<V: Clone, E: Clone> OwnedRows<'_, V, E> {
+impl<V: Clone, E: Clone> Rows<'_, V, E> {
     /// Copy the untouched old owned rows `a..b` wholesale, marking their
     /// targets referenced.
     fn copy_rows(&mut self, a: usize, b: usize) {
@@ -462,12 +469,58 @@ impl<V: Clone, E: Clone> OwnedRows<'_, V, E> {
         *mark |= REFERENCED;
         self.targets.push(op.t);
         self.data.push(self.fe.insert_edges[op.idx as usize].2.clone());
+        self.inserted += 1;
     }
 
-    /// Write the row of new owned vertex `g` — `code` in the table, an
-    /// old local's id if it has an old row — with the batch's `row_ops`
-    /// merged in: removed pairs dropped, overwritten copies re-weighted,
-    /// inserts placed after the retained copies of their target.
+    /// Append the edges of vertex `g`'s row — old local `old`'s, if it
+    /// has one — with the batch's `row_ops` merged in: removed pairs
+    /// dropped, overwritten copies re-weighted, inserts placed after the
+    /// retained copies of their target. A dead vertex's row is empty.
+    fn write_row(
+        &mut self,
+        g: VertexId,
+        old: Option<LocalId>,
+        row_ops: &[RowOp],
+        on_overwrite: &mut dyn FnMut(&E, &E),
+    ) {
+        let (f, fe) = (self.f, self.fe);
+        let mut inserts = row_ops.iter().filter(|op| op.kind == OpKind::Insert).peekable();
+        if old.is_some_and(|ol| self.marks[ol as usize] & DEAD != 0) {
+            assert!(inserts.peek().is_none(), "inserted edge at removed vertex {g}");
+            return;
+        }
+        for (t, d) in old.into_iter().flat_map(|ol| f.edges(ol)) {
+            if self.marks[t as usize] & DEAD != 0 {
+                continue;
+            }
+            let gt = f.global(t);
+            while let Some(op) = inserts.next_if(|op| op.v < gt) {
+                self.insert(op);
+            }
+            let pair = &row_ops[row_ops.partition_point(|op| op.v < gt)..];
+            let pair = &pair[..pair.partition_point(|op| op.v == gt)];
+            if pair.iter().any(|op| op.kind == OpKind::Remove) {
+                continue;
+            }
+            self.marks[t as usize] |= REFERENCED;
+            self.targets.push(t);
+            match pair.iter().rfind(|op| op.kind == OpKind::SetWeight) {
+                Some(op) => {
+                    let w = &fe.set_weights[op.idx as usize].2;
+                    on_overwrite(w, d);
+                    self.data.push(w.clone());
+                }
+                None => self.data.push(d.clone()),
+            }
+        }
+        for op in inserts {
+            self.insert(op);
+        }
+    }
+
+    /// Write the owned row of new owned vertex `g` — `code` in the
+    /// table, an old local's id if it has an old row — with its
+    /// `row_ops` merged in (see [`Rows::write_row`]).
     fn edit_row(
         &mut self,
         g: VertexId,
@@ -476,40 +529,9 @@ impl<V: Clone, E: Clone> OwnedRows<'_, V, E> {
         row_ops: &[RowOp],
         on_overwrite: &mut dyn FnMut(&E, &E),
     ) {
-        let (f, fe) = (self.f, self.fe);
+        let f = self.f;
         let old = (code < f.local_count()).then_some(code as LocalId);
-        let mut inserts = row_ops.iter().filter(|op| op.kind == OpKind::Insert).peekable();
-        if old.is_some_and(|ol| self.marks[ol as usize] & DEAD != 0) {
-            assert!(inserts.peek().is_none(), "inserted edge at removed vertex {g}");
-        } else {
-            for (t, d) in old.into_iter().flat_map(|ol| f.edges(ol)) {
-                if self.marks[t as usize] & DEAD != 0 {
-                    continue;
-                }
-                let gt = f.global(t);
-                while let Some(op) = inserts.next_if(|op| op.v < gt) {
-                    self.insert(op);
-                }
-                let pair = &row_ops[row_ops.partition_point(|op| op.v < gt)..];
-                let pair = &pair[..pair.partition_point(|op| op.v == gt)];
-                if pair.iter().any(|op| op.kind == OpKind::Remove) {
-                    continue;
-                }
-                self.marks[t as usize] |= REFERENCED;
-                self.targets.push(t);
-                match pair.iter().rfind(|op| op.kind == OpKind::SetWeight) {
-                    Some(op) => {
-                        let w = &fe.set_weights[op.idx as usize].2;
-                        on_overwrite(w, d);
-                        self.data.push(w.clone());
-                    }
-                    None => self.data.push(d.clone()),
-                }
-            }
-            for op in inserts {
-                self.insert(op);
-            }
-        }
+        self.write_row(g, old, row_ops, on_overwrite);
         self.offsets.push(self.targets.len());
         if let Some(ol) = old.filter(|&ol| f.is_owned(ol)) {
             self.holders.extend_from_slice(f.mirror_holders(ol));
@@ -519,17 +541,34 @@ impl<V: Clone, E: Clone> OwnedRows<'_, V, E> {
         self.globals.push(g);
         self.nodes.push(node.clone());
     }
+
+    /// Append old local `ol`'s row unchanged.
+    fn copy_row(&mut self, ol: LocalId) {
+        let old = self.f.local_graph();
+        let (e0, e1) = (old.offsets()[ol as usize], old.offsets()[ol as usize + 1]);
+        for &t in &old.targets()[e0..e1] {
+            self.marks[t as usize] |= REFERENCED;
+        }
+        self.targets.extend_from_slice(&old.targets()[e0..e1]);
+        self.data.extend_from_slice(&old.edge_data_all()[e0..e1]);
+    }
 }
 
 /// The one structural rewriter (see the module docs): rebuild `f` with
-/// `fe` applied, reading `f` only. `bufs.marks` must hold the caller's
-/// [`DEAD`] / [`MOVED_OUT`] flags for `f`'s locals. Vertices in
-/// `fe.add_owned` join the owned set (a migration may name an old
-/// mirror there: it is promoted); their rows are the inserts naming
-/// them.
+/// `fe`'s ops applied, reading `f` only. `bufs.marks` must hold the
+/// caller's [`DEAD`] / [`MOVED_OUT`] flags for `f`'s locals — and,
+/// under vertex-cut, [`REFERENCED`] on every local that keeps an
+/// incident edge. Vertices in `incoming` join the owned set (an old
+/// mirror named there is promoted); their rows are their old rows, if
+/// any, plus the inserts naming them.
+///
+/// Under vertex-cut, copies carry rows: the mirror run is written row by
+/// row like the owned run, a demoted vertex keeps its row as a copy,
+/// and an insert may bring its source to the fragment as a fresh copy.
 fn splice_fragment<V, E>(
     f: &Fragment<V, E>,
     fe: &FragmentEdit<V, E>,
+    incoming: &[(VertexId, V)],
     bufs: &mut WorkerBufs,
     hooks: SpliceHooks<'_, V, E>,
 ) -> Spliced<V, E>
@@ -537,7 +576,7 @@ where
     V: Clone,
     E: Clone,
 {
-    let fid = f.id();
+    let (fid, vc) = (f.id(), f.is_vertex_cut());
     let (old_owned, old_n) = (f.owned_count(), f.local_count());
     let SpliceHooks { mirror_owner: owner_of, fresh_node, on_overwrite } = hooks;
     let WorkerBufs { ops, ext, marks, .. } = bufs;
@@ -547,6 +586,9 @@ where
     ops.clear();
     ext.clear();
     for (k, &(u, v, _)) in fe.insert_edges.iter().enumerate() {
+        if vc && f.local(u).is_none() {
+            ext.push(u);
+        }
         let t = f.local(v).unwrap_or_else(|| {
             ext.push(v);
             LocalId::MAX
@@ -560,7 +602,7 @@ where
         ops.push(RowOp { u, v, kind: OpKind::SetWeight, idx: k as u32, t: 0 });
     }
     ops.sort_unstable();
-    let mut incoming: Vec<&(VertexId, V)> = fe.add_owned.iter().collect();
+    let mut incoming: Vec<&(VertexId, V)> = incoming.iter().collect();
     incoming.sort_unstable_by_key(|&&(g, _)| g);
     ext.extend(incoming.iter().map(|&&(g, _)| g).filter(|&g| f.local(g).is_none()));
     ext.sort_unstable();
@@ -580,11 +622,15 @@ where
     let mut edited: Vec<(VertexId, usize)> =
         incoming.iter().map(|&&(g, _)| (g, code_of(g))).collect();
     debug_assert!(edited.iter().all(|&(_, c)| c >= old_owned), "duplicate owned vertex");
-    if marks.iter().any(|&m| m & DEAD != 0) {
+    let dead = marks.iter().any(|&m| m & DEAD != 0);
+    if dead {
         edited.extend((0..old_owned).map(|l| (f.global(l as LocalId), l)));
     } else {
-        edited
-            .extend((0..old_owned).filter(|&l| marks[l] != 0).map(|l| (f.global(l as LocalId), l)));
+        edited.extend(
+            (0..old_owned)
+                .filter(|&l| marks[l] & MOVED_OUT != 0)
+                .map(|l| (f.global(l as LocalId), l)),
+        );
         let named = ops.chunk_by(|a, b| a.u == b.u).map(|row_ops| row_ops[0].u);
         edited.extend(
             named.filter_map(|u| f.local(u).filter(|&l| f.is_owned(l)).map(|l| (u, l as usize))),
@@ -598,7 +644,7 @@ where
     // id, into the new CSR; runs of untouched rows are copied wholesale.
     let code_cap = old_n + ext.len();
     let edge_cap = f.edge_count() + fe.insert_edges.len();
-    let mut rows = OwnedRows {
+    let mut rows = Rows {
         f,
         fe,
         marks,
@@ -610,23 +656,18 @@ where
         data: Vec::with_capacity(edge_cap),
         holder_offsets: Vec::with_capacity(old_owned + incoming.len() + 1),
         holders: Vec::with_capacity(f.holder_csr().1.len()),
+        inserted: 0,
     };
     rows.offsets.push(0);
     rows.holder_offsets.push(0);
-    let rows_edited = edited.len();
+    let mut rows_edited = edited.len();
     let mut incoming = incoming.into_iter();
     let mut next_op = 0usize;
     let mut next_old = 0usize;
     for (g, code) in edited {
-        // An op on a row stored elsewhere: a removal or overwrite finds
-        // nothing to act on; an insert is a resolver bug.
-        while let Some(op) = ops.get(next_op).filter(|op| op.u < g) {
-            assert!(
-                op.kind != OpKind::Insert,
-                "inserted edge ({}, {}) not at frag {fid}",
-                op.u,
-                op.v
-            );
+        // Ops on rows before this one act on rows stored elsewhere — or,
+        // under vertex-cut, on copy rows, written below.
+        while ops.get(next_op).is_some_and(|op| op.u < g) {
             next_op += 1;
         }
         let lo = next_op;
@@ -646,36 +687,21 @@ where
         }
     }
     rows.copy_rows(next_old, old_owned);
-    assert!(
-        ops[next_op..].iter().all(|op| op.kind != OpKind::Insert),
-        "inserted edge at a vertex not owned at frag {fid}"
-    );
-    let OwnedRows {
-        marks,
-        mut table,
-        mut globals,
-        mut nodes,
-        mut offsets,
-        mut targets,
-        data,
-        holder_offsets,
-        holders,
-        ..
-    } = rows;
-    let owned_n = globals.len();
+    let owned_n = rows.globals.len();
     let mut fresh: Vec<LocalId> =
-        (0..ext.len()).map(|k| table[old_n + k]).filter(|&nl| nl != LocalId::MAX).collect();
+        (0..ext.len()).map(|k| rows.table[old_n + k]).filter(|&nl| nl != LocalId::MAX).collect();
     fresh.sort_unstable();
 
     // The new mirror run: referenced old mirrors (minus promotions),
     // demoted owned vertices and fresh endpoints, merged by global id.
-    // The last two are batch-sized, so they merge first.
+    // The last two are batch-sized, so they merge first. Under
+    // vertex-cut each copy's row is written as it lands.
     let mut small: Vec<(VertexId, LocalId)> = (0..old_owned)
-        .filter(|&l| marks[l] & MOVED_OUT != 0 && marks[l] & REFERENCED != 0)
+        .filter(|&l| rows.marks[l] & MOVED_OUT != 0 && rows.marks[l] & REFERENCED != 0)
         .map(|l| (f.global(l as LocalId), l as LocalId))
         .chain(
             (0..ext.len())
-                .filter(|&k| table[old_n + k] == LocalId::MAX)
+                .filter(|&k| rows.table[old_n + k] == LocalId::MAX)
                 .map(|k| (ext[k], (old_n + k) as LocalId)),
         )
         .collect();
@@ -684,13 +710,14 @@ where
     let mut mirror_owner: Vec<FragId> = Vec::with_capacity(old_n - old_owned + small.len());
     let mut lost: Vec<(VertexId, FragId)> = Vec::new();
     let mut next_old = old_owned as LocalId;
+    next_op = 0;
     loop {
         // Skip old mirrors promoted to owned or no longer referenced.
         while (next_old as usize) < old_n
-            && (table[next_old as usize] != LocalId::MAX
-                || marks[next_old as usize] & REFERENCED == 0)
+            && (rows.table[next_old as usize] != LocalId::MAX
+                || rows.marks[next_old as usize] & REFERENCED == 0)
         {
-            if table[next_old as usize] == LocalId::MAX {
+            if rows.table[next_old as usize] == LocalId::MAX {
                 lost.push((f.global(next_old), f.owner(next_old)));
             }
             next_old += 1;
@@ -704,20 +731,55 @@ where
             (_, Some(_)) => small.next().expect("peeked"),
             (_, None) => break,
         };
-        let nl = globals.len() as LocalId;
-        table[code as usize] = nl;
-        globals.push(g);
-        if (code as usize) < old_n {
-            mirror_owner.push(owner_of(g, Some(code)));
-            nodes.push(f.node(code).clone());
-        } else {
-            mirror_owner.push(owner_of(g, None));
-            nodes.push(fresh_node(g));
-            fresh.push(nl);
+        let nl = rows.globals.len() as LocalId;
+        rows.table[code as usize] = nl;
+        rows.globals.push(g);
+        let old = ((code as usize) < old_n).then_some(code);
+        mirror_owner.push(owner_of(g, old));
+        match old {
+            Some(l) => rows.nodes.push(f.node(l).clone()),
+            None => {
+                rows.nodes.push(fresh_node(g));
+                fresh.push(nl);
+            }
+        }
+        if vc {
+            while ops.get(next_op).is_some_and(|op| op.u < g) {
+                next_op += 1;
+            }
+            let lo = next_op;
+            while ops.get(next_op).is_some_and(|op| op.u == g) {
+                next_op += 1;
+            }
+            match old {
+                Some(ol) if !dead && lo == next_op => rows.copy_row(ol),
+                _ => {
+                    rows.write_row(g, old, &ops[lo..next_op], on_overwrite);
+                    rows_edited += 1;
+                }
+            }
+            rows.offsets.push(rows.targets.len());
         }
     }
+    assert_eq!(
+        rows.inserted,
+        fe.insert_edges.len(),
+        "inserted edge at a vertex frag {fid} does not hold"
+    );
+    let Rows {
+        mut table,
+        globals,
+        nodes,
+        mut offsets,
+        mut targets,
+        data,
+        holder_offsets,
+        holders,
+        ..
+    } = rows;
 
-    // Pass 2: map the new rows through the table; mirrors own no rows.
+    // Pass 2: map the new rows through the table; edge-cut mirrors own
+    // no rows.
     let n_local = globals.len();
     offsets.resize(n_local + 1, targets.len());
     let mut inner_out: Vec<LocalId> = Vec::new();
@@ -732,17 +794,23 @@ where
             inner_out.push(l as LocalId);
         }
     }
+    for t in &mut targets[offsets[owned_n]..] {
+        *t = table[*t as usize];
+        debug_assert_ne!(*t, LocalId::MAX, "referenced target kept");
+    }
     let inner_in: Vec<LocalId> = (0..owned_n)
         .filter(|&l| holder_offsets[l + 1] > holder_offsets[l])
         .map(|l| l as LocalId)
         .collect();
+    // Under vertex-cut `Fi.O'` is `Fi.I`: the owned vertices with copies.
+    let inner_out = if vc { inner_in.clone() } else { inner_out };
     table.truncate(old_n);
 
     let directed = f.local_graph().is_directed();
     let frag = Fragment::from_parts(
         fid,
         f.num_frags(),
-        false,
+        vc,
         Graph::from_parts(directed, nodes, offsets, targets, data),
         globals,
         owned_n,
@@ -958,20 +1026,23 @@ struct Rewritten<V, E> {
     /// New local ids of edited endpoints and of locals new to the
     /// fragment, sorted.
     seeds: Vec<LocalId>,
-    /// The mirror diff, each event paired with the owner it goes to.
+    /// The mirror diff, each event paired with the owner it goes to
+    /// (edge-cut; the vertex-cut planner derives holder changes itself).
     events: Vec<(FragId, HolderEvent)>,
     weights_decreased: u64,
     weights_increased: u64,
 }
 
 /// Rewrite touched fragment `i` with its share of `edit` (see
-/// [`splice_fragment`]). Reads fragments only (`view`), so touched
-/// fragments fan out across scoped threads. Emits the fragment's
-/// `repack` span (delta track, tid = fragment id).
+/// [`splice_fragment`]), and under vertex-cut with its share of `plan`.
+/// Reads fragments only (`view`), so touched fragments fan out across
+/// scoped threads. Emits the fragment's `repack` span (delta track, tid
+/// = fragment id).
 fn rewrite_touched<V, E>(
     i: usize,
     view: &[&Fragment<V, E>],
     edit: &PartitionEdit<V, E>,
+    plan: Option<&VertexCutPlan<V>>,
     bufs: &mut WorkerBufs,
     tracer: &Tracer,
 ) -> Rewritten<V, E>
@@ -984,10 +1055,19 @@ where
         let args = Args::new().with("frag", i).with("locals", f.local_count());
         tracer.begin(pid::DELTA, fid as u32, cat::APPLY, "repack", args);
     }
-    let marks = bufs.fresh_marks(f.local_count());
+    let marks = bufs.fresh_marks(f.local_count(), if plan.is_some() { REFERENCED } else { 0 });
     for v in &edit.removed_vertices {
         if let Some(l) = f.local(*v) {
             marks[l as usize] |= DEAD;
+        }
+    }
+    if let Some(p) = plan {
+        let local = |g: VertexId| f.local(g).expect("planned vertex is local") as usize;
+        for &g in &p.dropped[i] {
+            marks[local(g)] &= !REFERENCED;
+        }
+        for &g in &p.demoted[i] {
+            marks[local(g)] |= MOVED_OUT;
         }
     }
     let resolved_owner = |g: VertexId| -> FragId {
@@ -995,19 +1075,25 @@ where
     };
     let (mut weights_decreased, mut weights_increased) = (0u64, 0u64);
     let hooks = SpliceHooks {
-        mirror_owner: &|g, old| old.map_or_else(|| resolved_owner(g), |l| f.owner(l)),
+        mirror_owner: &|g, old| match old {
+            Some(l) if !f.is_owned(l) => f.owner(l),
+            _ => plan.map_or_else(|| resolved_owner(g), |p| p.vertex(g).1),
+        },
         // A fresh mirror clones the owner's copy — or, for a vertex added
         // in this very batch, the owner's pending `add_owned` entry.
-        fresh_node: &|g| {
-            let o = resolved_owner(g) as usize;
-            match view[o].local(g) {
-                Some(l) => view[o].node(l).clone(),
-                None => edit.frags[o]
-                    .add_owned
-                    .iter()
-                    .find(|&&(v, _)| v == g)
-                    .map(|(_, d)| d.clone())
-                    .unwrap_or_else(|| panic!("no node data for new mirror {g}")),
+        fresh_node: &|g| match plan {
+            Some(p) => p.vertex(g).2.clone(),
+            None => {
+                let o = resolved_owner(g) as usize;
+                match view[o].local(g) {
+                    Some(l) => view[o].node(l).clone(),
+                    None => edit.frags[o]
+                        .add_owned
+                        .iter()
+                        .find(|&&(v, _)| v == g)
+                        .map(|(_, d)| d.clone())
+                        .unwrap_or_else(|| panic!("no node data for new mirror {g}")),
+                }
             }
         },
         on_overwrite: &mut |new, stored| match weight_change(new, stored) {
@@ -1016,17 +1102,20 @@ where
             WeightChange::Increased => weights_increased += 1,
         },
     };
+    let incoming = plan.map_or(&fe.add_owned, |p| &p.incoming[i]);
     let Spliced { frag, old_to_new, fresh, lost, rows_edited } =
-        splice_fragment(f, fe, bufs, hooks);
+        splice_fragment(f, fe, incoming, bufs, hooks);
 
-    let mut events: Vec<(FragId, HolderEvent)> =
-        lost.iter().map(|&(g, owner)| (owner, (g, fid, false))).collect();
-    events.extend(
-        fresh
-            .iter()
-            .filter(|&&l| !frag.is_owned(l))
-            .map(|&l| (frag.owner(l), (frag.global(l), fid, true))),
-    );
+    let mut events: Vec<(FragId, HolderEvent)> = Vec::new();
+    if plan.is_none() {
+        events.extend(lost.iter().map(|&(g, owner)| (owner, (g, fid, false))));
+        events.extend(
+            fresh
+                .iter()
+                .filter(|&&l| !frag.is_owned(l))
+                .map(|&l| (frag.owner(l), (frag.global(l), fid, true))),
+        );
+    }
     let mut seeds = fresh;
     let endpoints = (fe.insert_edges.iter().map(|e| (e.0, e.1)))
         .chain(fe.remove_edges.iter().copied())
@@ -1047,13 +1136,15 @@ where
     Rewritten { frag, remap, seeds, events, weights_decreased, weights_increased }
 }
 
-/// Deliver owner `j`'s holder events (see [`splice_holders`]); returns
-/// the owned vertices that gained a holder. An owner that was not itself
+/// Deliver owner `j`'s holder events (see [`splice_holders`]) and point
+/// its copies in `repoint` at their new owners, in place; returns the
+/// owned vertices that gained a holder. A fragment that was not itself
 /// rewritten changes here, under a `repack` span of its own.
 fn deliver_events<V, E>(
     j: usize,
     frag: &mut Fragment<V, E>,
     events: &[HolderEvent],
+    repoint: &[(VertexId, FragId)],
     span: bool,
     tracer: &Tracer,
 ) -> (usize, Vec<LocalId>) {
@@ -1061,7 +1152,10 @@ fn deliver_events<V, E>(
         let args = Args::new().with("frag", j).with("locals", frag.local_count());
         tracer.begin(pid::DELTA, j as u32, cat::APPLY, "repack", args);
     }
-    let gained = splice_holders(frag, events);
+    for &(g, owner) in repoint {
+        frag.set_mirror_owner(frag.local(g).expect("a holder keeps its copy"), owner);
+    }
+    let gained = if events.is_empty() { Vec::new() } else { splice_holders(frag, events) };
     if span {
         let args = Args::new().with("locals", frag.local_count()).with("rows_edited", 0usize);
         tracer.end(pid::DELTA, j as u32, cat::APPLY, "repack", args);
@@ -1074,12 +1168,21 @@ fn route_one<V, E>(j: usize, view: &[&Fragment<V, E>]) -> (usize, crate::Routing
     (j, routing_table_for(view[j], &|d, g| view[d as usize].local(g)))
 }
 
-/// Apply one resolved delta batch to an edge-cut fragment set, in place.
+/// Apply one resolved delta batch to a fragment set of either cut kind,
+/// in place.
 ///
 /// Fragments not named by the edit (directly or through holder/renumber
 /// dependencies) are untouched — no global rebuild happens. Panics on
 /// malformed edits (edges at the wrong fragment, unknown owners,
-/// non-contiguous new vertex ids); `aap-delta`'s resolver upholds these.
+/// non-contiguous new vertex ids); `aap-delta` validates deltas and its
+/// resolver upholds these.
+///
+/// Under vertex-cut, placement is derived rather than resolved: the
+/// edit's ops sit at the fragment the pair-hash rule stores each edge
+/// at, `add_owned` lists new vertices (at any fragment) for their node
+/// data only, `owners` is ignored, and [`plan_vertex_cut`] turns the
+/// batch into the splice inputs, deciding itself which fragments to
+/// rewrite.
 ///
 /// The per-fragment work of all three phases fans out over up to
 /// `threads` scoped worker threads — each phase over as many as it has
@@ -1090,18 +1193,66 @@ fn route_one<V, E>(j: usize, view: &[&Fragment<V, E>]) -> (usize, crate::Routing
 /// set, and the cross-fragment holder events are merged between phases
 /// in ascending fragment order — the one place workers could have raced
 /// on ordering — so the result is **byte-identical at every thread
-/// count** (the mutate proptests pin this). A phase with one work item,
-/// and every phase when `threads <= 1`, runs on the calling thread.
+/// count** (the mutate proptests and `tests/splice_equiv.rs` pin this).
+/// A phase with one work item, and every phase when `threads <= 1`,
+/// runs on the calling thread. A batch of weight overwrites alone
+/// patches stored weights in place instead.
 ///
 /// With a tracer in `bufs` ([`EditBuffers::traced`]) the apply emits, on
 /// the delta track, one `repack` span per changed fragment (tid =
 /// fragment id, from whichever worker rewrites it; it covers the whole
-/// rewrite of a touched fragment, or the holder splice of one that only
-/// gained or lost holders) and a `routing` span around the table
-/// rebuilds.
+/// rewrite of a touched fragment, or the in-place holder and owner
+/// updates of one that was not rewritten), a `routing` span around the
+/// table rebuilds and, under vertex-cut, the planner's
+/// `plan_vertex_cut` span.
 pub fn apply_partition_edit<V, E>(
     frags: &mut [&mut Fragment<V, E>],
     edit: &PartitionEdit<V, E>,
+    bufs: &mut EditBuffers,
+    threads: usize,
+) -> AppliedEdit
+where
+    V: Clone + Send + Sync,
+    E: Clone + PartialOrd + Send + Sync,
+{
+    apply_edit(frags, edit, &[], bufs, threads)
+}
+
+/// Move ownership of vertices between the existing holders of a
+/// vertex-cut fragment set, in place — the vertex-cut executor half of
+/// `aap-balance`. Edges stay where the pair-hash rule stored them, so a
+/// move only flips one copy to owned and the old owner's to a copy
+/// (rows stay), re-points the other copies and moves the holder list;
+/// it runs through the same planner and phases as
+/// [`apply_partition_edit`], on the calling thread. Only holders of a
+/// moved vertex change; each seeds the vertex, so a single warm round
+/// settles the migrated values. Panics if a target does not hold its
+/// vertex.
+pub fn migrate_vertex_cut<V, E>(
+    frags: &mut [&mut Fragment<V, E>],
+    moves: &[VertexMove],
+    tracer: &Tracer,
+) -> AppliedEdit
+where
+    V: Clone + Send + Sync,
+    E: Clone + PartialOrd + Send + Sync,
+{
+    let m = frags.len();
+    let edit = PartitionEdit {
+        frags: (0..m).map(|_| FragmentEdit::default()).collect(),
+        removed_vertices: FxHashSet::default(),
+        owners: FxHashMap::default(),
+        touched: vec![false; m],
+    };
+    apply_edit(frags, &edit, moves, &mut EditBuffers::traced(tracer.clone()), 1)
+}
+
+/// The three phases behind [`apply_partition_edit`] and
+/// [`migrate_vertex_cut`]; `moves` forces vertex-cut owners.
+fn apply_edit<V, E>(
+    frags: &mut [&mut Fragment<V, E>],
+    edit: &PartitionEdit<V, E>,
+    moves: &[VertexMove],
     bufs: &mut EditBuffers,
     threads: usize,
 ) -> AppliedEdit
@@ -1114,34 +1265,56 @@ where
     let m = frags.len();
     assert_eq!(edit.frags.len(), m, "one FragmentEdit per fragment");
     assert_eq!(edit.touched.len(), m);
-    assert!(frags.iter().all(|f| !f.is_vertex_cut()), "in-place apply is edge-cut only");
+    let vc = frags.first().is_some_and(|f| f.is_vertex_cut());
+    assert!(frags.iter().all(|f| f.is_vertex_cut() == vc), "fragments of one cut kind");
     for i in 0..m {
         assert!(
             edit.touched[i] || edit.frags[i].is_empty(),
             "edited fragment {i} not marked touched"
         );
     }
-    if is_weight_only(edit) {
+    if moves.is_empty() && is_weight_only(edit) {
         // In-place weight patching touches a handful of cache lines per
         // entry; thread fan-out can only lose.
         return apply_weight_only(frags, edit, &mut split(workers, 1)[0]);
     }
     let old_dests: Vec<Vec<FragId>> = frags.iter().map(|f| f.routing().dests().to_vec()).collect();
+    let traced = tracer.enabled();
+
+    // Phase 0 (vertex-cut): the planner decides placement.
+    let plan = vc.then(|| {
+        if traced {
+            tracer.begin(pid::DELTA, 0, cat::APPLY, "plan_vertex_cut", Args::new());
+        }
+        let view: Vec<&Fragment<V, E>> = frags.iter().map(|f| &**f).collect();
+        let plan = plan_vertex_cut(&view, edit, moves, split(workers, threads));
+        if traced {
+            let args = Args::new()
+                .with("affected", plan.affected.len())
+                .with("rewritten", plan.rewrite.iter().filter(|&&r| r).count());
+            tracer.end(pid::DELTA, 0, cat::APPLY, "plan_vertex_cut", args);
+        }
+        plan
+    });
+    let rewrite = plan.as_ref().map_or_else(|| edit.touched.clone(), |p| p.rewrite.clone());
 
     // Phase 1: rewrite the touched fragments over the shared pre-apply
     // view, then commit in fragment order so the per-owner holder-event
     // streams do not depend on the worker count.
     let rewritten: Vec<Rewritten<V, E>> = {
         let view: Vec<&Fragment<V, E>> = frags.iter().map(|f| &**f).collect();
-        let touched: Vec<usize> = (0..m).filter(|&i| edit.touched[i]).collect();
-        fan_out(touched, split(workers, threads), |i, wb| {
-            rewrite_touched(i, &view, edit, wb, tracer)
+        let todo: Vec<usize> = (0..m).filter(|&i| rewrite[i]).collect();
+        fan_out(todo, split(workers, threads), |i, wb| {
+            rewrite_touched(i, &view, edit, plan.as_ref(), wb, tracer)
         })
+    };
+    let (mut holder_events, repoint, held) = match plan {
+        Some(p) => (p.events, p.repoint, p.held),
+        None => (vec![Vec::new(); m], vec![Vec::new(); m], Vec::new()),
     };
     let mut remaps: Vec<StateRemap> =
         frags.iter().map(|f| StateRemap::identity(f.local_count())).collect();
     let mut seeds: Vec<Vec<LocalId>> = vec![Vec::new(); m];
-    let mut holder_events: Vec<Vec<HolderEvent>> = vec![Vec::new(); m];
     let mut weights_decreased = 0u64;
     let mut weights_increased = 0u64;
     for r in rewritten {
@@ -1156,18 +1329,17 @@ where
         weights_increased += r.weights_increased;
     }
 
-    // Phase 2: owners splice the holder events in, behind disjoint
-    // `&mut`s.
-    let mut changed = edit.touched.clone();
+    // Phase 2: owners splice the holder events in, and copies take their
+    // new owners, behind disjoint `&mut`s.
+    let mut changed = rewrite.clone();
     let owners: Vec<(usize, &mut Fragment<V, E>)> = frags
         .iter_mut()
         .enumerate()
-        .filter(|(j, _)| !holder_events[*j].is_empty())
+        .filter(|(j, _)| !holder_events[*j].is_empty() || !repoint[*j].is_empty())
         .map(|(j, f)| (j, &mut **f))
         .collect();
-    let traced = tracer.enabled();
     let delivered = fan_out(owners, split(workers, threads), |(j, f), _| {
-        deliver_events(j, f, &holder_events[j], traced && !edit.touched[j], tracer)
+        deliver_events(j, f, &holder_events[j], &repoint[j], traced && !rewrite[j], tracer)
     });
     for (j, gained) in delivered {
         changed[j] = true;
@@ -1175,10 +1347,17 @@ where
         seeds[j].sort_unstable();
         seeds[j].dedup();
     }
+    // Under vertex-cut every holder of an affected vertex re-evaluates it.
+    for (j, held) in held.iter().enumerate().filter(|(_, h)| !h.is_empty()) {
+        let f = &frags[j];
+        seeds[j].extend(held.iter().map(|&g| f.local(g).expect("a holder keeps its copy")));
+        seeds[j].sort_unstable();
+        seeds[j].dedup();
+    }
     debug_check(frags, &changed);
 
     // Phase 3: routing tables over the committed shared view.
-    if tracer.enabled() {
+    if traced {
         tracer.begin(pid::DELTA, 0, cat::APPLY, "routing", Args::new());
     }
     let needs_routing = routing_targets(&old_dests, &remaps, changed.clone());
@@ -1187,7 +1366,7 @@ where
         let stale: Vec<usize> = (0..m).filter(|&j| needs_routing[j]).collect();
         fan_out(stale, split(workers, threads), |j, _| route_one(j, &view))
     };
-    if tracer.enabled() {
+    if traced {
         let args = Args::new().with("tables", tables.len());
         tracer.end(pid::DELTA, 0, cat::APPLY, "routing", args);
     }
@@ -1198,485 +1377,299 @@ where
     AppliedEdit { remaps, seeds, weights_decreased, weights_increased, changed }
 }
 
-/// A delta batch resolved against a **vertex-cut** partition: per-fragment
-/// stored-edge ops already routed to the fragment the canonical pair-hash
-/// rule ([`crate::partition::vertex_cut_edge_frag`]) assigns them to, plus
-/// vertex additions/removals and — for elastic migration — forced
-/// ownership assignments.
-///
-/// Unlike [`PartitionEdit`] there is no per-fragment `add_owned`: under
-/// vertex-cut, vertex *placement* is derived from edge incidence (plus
-/// the isolated-home rule), so [`patch_vertex_cut`] computes holder sets
-/// and owners itself. The patch is shared by the delta path (`aap-delta`)
-/// and the migration executor (`aap-balance`), which expresses an
-/// ownership move as a pure `owner_overrides` edit with no edge ops.
-#[derive(Debug, Clone)]
-pub struct VertexCutEdit<V, E> {
-    /// One edit per fragment; `add_owned` must be empty (placement is
-    /// derived). Both stored directions of an undirected logical edge
-    /// must land at the same fragment (the pair-hash rule guarantees
-    /// this).
-    pub frags: Vec<FragmentEdit<V, E>>,
-    /// Vertices to isolate: every incident edge is dropped, the dense id
-    /// survives as an edgeless owned vertex at its isolated home.
-    pub removed_vertices: FxHashSet<VertexId>,
-    /// Node payloads for vertices added in this batch.
-    pub added: Vec<(VertexId, V)>,
-    /// Forced owners (migration): each named vertex must be a member of
-    /// its post-edit holder set. Vertices not named follow the default
-    /// rule: keep the current owner when the holder set is unchanged,
-    /// else the canonical `hs[v % |hs|]`.
-    pub owner_overrides: FxHashMap<VertexId, FragId>,
+/// The splice inputs [`plan_vertex_cut`] derives for one batch or move.
+struct VertexCutPlan<V> {
+    /// Fragments the splice rewrites.
+    rewrite: Vec<bool>,
+    /// Every affected vertex, ascending, with its owner after the edit
+    /// and its node data.
+    affected: Vec<(VertexId, FragId, V)>,
+    /// Per fragment: the affected vertices it holds after the edit.
+    held: Vec<Vec<VertexId>>,
+    /// Per fragment: vertices joining its owned run — promoted copies
+    /// and vertices new to it.
+    incoming: Vec<Vec<(VertexId, V)>>,
+    /// Per fragment: owned vertices demoted to copies.
+    demoted: Vec<Vec<VertexId>>,
+    /// Per fragment: locals left without an incident edge, dropped
+    /// unless they stay owned.
+    dropped: Vec<Vec<VertexId>>,
+    /// Per owner: holder-list changes.
+    events: Vec<Vec<HolderEvent>>,
+    /// Per fragment: copies whose owner changed, with the new owner.
+    repoint: Vec<Vec<(VertexId, FragId)>>,
 }
 
-impl<V, E> VertexCutEdit<V, E> {
-    /// An empty edit over `m` fragments.
-    pub fn empty(m: usize) -> Self {
-        VertexCutEdit {
-            frags: (0..m).map(|_| FragmentEdit::default()).collect(),
-            removed_vertices: FxHashSet::default(),
-            added: Vec::new(),
-            owner_overrides: FxHashMap::default(),
-        }
+impl<V> VertexCutPlan<V> {
+    /// The planned entry of affected vertex `g`.
+    fn vertex(&self, g: VertexId) -> &(VertexId, FragId, V) {
+        let k = self.affected.binary_search_by_key(&g, |a| a.0);
+        &self.affected[k.unwrap_or_else(|_| panic!("vertex {g} was not planned"))]
     }
 }
 
-/// Apply one resolved vertex-cut delta batch in place — the vertex-cut
-/// peer of [`apply_partition_edit`], with cost proportional to the
-/// *touched* fragments (those with edge ops, those holding an affected
-/// vertex, and isolated homes), never a global rebuild.
+/// What a batch does to incidence at one fragment (the planner's scan).
+struct Incidence {
+    frag: usize,
+    /// Locals a dropped edge was incident to.
+    lost_edge: Vec<VertexId>,
+    /// Those of them left without any incident edge.
+    left: Vec<VertexId>,
+}
+
+/// The planner's scan of fragment `i`, which the batch removes edges or
+/// vertices at: which locals lose an incident edge, and which are left
+/// with none. One pass over the CSR sets dense per-local marks; a row's
+/// removals are matched by binary search over that row's own ops, so no
+/// edge is hashed.
+fn scan_incidence<V, E>(
+    i: usize,
+    f: &Fragment<V, E>,
+    fe: &FragmentEdit<V, E>,
+    removed: &FxHashSet<VertexId>,
+    wb: &mut WorkerBufs,
+) -> Incidence {
+    let marks = wb.fresh_marks(f.local_count(), 0);
+    for l in fe.insert_edges.iter().flat_map(|e| [e.0, e.1]).filter_map(|g| f.local(g)) {
+        marks[l as usize] |= REFERENCED;
+    }
+    for l in removed.iter().filter_map(|&r| f.local(r)) {
+        marks[l as usize] |= DEAD;
+    }
+    // Removals as (source local, target global), sorted like the rows.
+    let mut rm: Vec<(LocalId, VertexId)> =
+        fe.remove_edges.iter().filter_map(|&(u, v)| Some((f.local(u)?, v))).collect();
+    rm.sort_unstable();
+    let mut next = 0usize;
+    for l in f.local_vertices() {
+        let lo = next;
+        while rm.get(next).is_some_and(|r| r.0 == l) {
+            next += 1;
+        }
+        let row_rm = &rm[lo..next];
+        let dead_u = marks[l as usize] & DEAD != 0;
+        for &t in f.neighbors(l) {
+            let gone = dead_u
+                || marks[t as usize] & DEAD != 0
+                || (!row_rm.is_empty()
+                    && row_rm.binary_search_by_key(&f.global(t), |r| r.1).is_ok());
+            let bit = if gone { LOST_EDGE } else { REFERENCED };
+            marks[l as usize] |= bit;
+            marks[t as usize] |= bit;
+        }
+    }
+    let (mut lost_edge, mut left) = (Vec::new(), Vec::new());
+    for (l, &mark) in marks.iter().enumerate().filter(|(_, &mk)| mk & LOST_EDGE != 0) {
+        let g = f.global(l as LocalId);
+        lost_edge.push(g);
+        if mark & REFERENCED == 0 {
+            left.push(g);
+        }
+    }
+    Incidence { frag: i, lost_edge, left }
+}
+
+/// The vertex-cut planner: turn a batch (`edit`'s ops, removed vertices
+/// and new vertices) or an ownership move (`moves`) into splice inputs.
 ///
-/// The locality argument: the pair-hash rule assigns each stored edge a
-/// fragment from its endpoints alone, so edges never migrate when other
-/// edges change. A batch can therefore only change (a) the edge lists of
-/// the fragments it names and (b) the holder sets / owners of the
-/// vertices incident to changed edges — and every fragment involved in
-/// (b) already holds the vertex or gains it through a named edge.
+/// The pair-hash rule ([`crate::partition::vertex_cut_edge_frag`]) fixes
+/// where every edge lives from its endpoints alone, so a batch changes
+/// only the edge lists of the fragments it names, and the holder sets
+/// and owners of the *affected* vertices: endpoints of inserts and
+/// removals, removed, added and moved vertices, and the neighbours a
+/// removed vertex loses. For each of them the rules the from-scratch
+/// builder follows decide the new placement:
 ///
-/// An enabled `tracer` receives, on the delta track, a `plan_patch` span
-/// around the derivation of holder sets and edge lists, a per-fragment
-/// `repack` span (tid = fragment id) around each rebuilt fragment, and a
-/// `routing` span around the routing-table rebuild.
-pub fn patch_vertex_cut<V, E>(
-    frags: &mut [&mut Fragment<V, E>],
-    edit: &VertexCutEdit<V, E>,
-    tracer: &Tracer,
-) -> AppliedEdit
+/// * the holders are the fragments storing an edge incident to it, or
+///   its isolated home ([`crate::partition::vertex_cut_isolated_home`])
+///   when there is none;
+/// * the owner stays while the holder set is unchanged, else becomes
+///   `hs[v % |hs|]` — unless a move forces one of the holders;
+/// * copies keep their rows.
+///
+/// Fragments the batch removes edges or vertices at are scanned once
+/// each ([`scan_incidence`], fanned out over `workers`) for the locals
+/// left without an edge; everything else is batch-sized, with `m`
+/// id-map probes per affected vertex to find its owner.
+fn plan_vertex_cut<V, E>(
+    view: &[&Fragment<V, E>],
+    edit: &PartitionEdit<V, E>,
+    moves: &[VertexMove],
+    workers: &mut [WorkerBufs],
+) -> VertexCutPlan<V>
 where
-    V: Clone,
-    E: Clone + PartialOrd,
+    V: Clone + Send + Sync,
+    E: Sync,
 {
-    let m = frags.len();
-    assert_eq!(edit.frags.len(), m, "one FragmentEdit per fragment");
-    assert!(frags.iter().all(|f| f.is_vertex_cut()), "patch_vertex_cut needs a vertex-cut set");
-    assert!(
-        edit.frags.iter().all(|fe| fe.add_owned.is_empty()),
-        "vertex-cut placement is derived; add vertices via `VertexCutEdit::added`"
-    );
+    let m = view.len();
+    let home = |v: VertexId| crate::partition::vertex_cut_isolated_home(v, m);
+    let mut dead_at = vec![false; m];
+    for &r in &edit.removed_vertices {
+        for (i, f) in view.iter().enumerate() {
+            dead_at[i] |= f.local(r).is_some();
+        }
+    }
+    let scan: Vec<usize> =
+        (0..m).filter(|&i| dead_at[i] || !edit.frags[i].remove_edges.is_empty()).collect();
+    let scanned = fan_out(scan, workers, |i, wb| {
+        scan_incidence(i, view[i], &edit.frags[i], &edit.removed_vertices, wb)
+    });
 
-    let traced = tracer.enabled();
-    if traced {
-        tracer.begin(pid::DELTA, 0, cat::APPLY, "plan_patch", Args::new());
+    // Where inserts put each endpoint: (vertex, fragment), ascending.
+    let mut named: Vec<(VertexId, FragId)> = Vec::new();
+    let mut added: Vec<(VertexId, &V)> = Vec::new();
+    let mut affected: Vec<VertexId> = edit.removed_vertices.iter().copied().collect();
+    for (i, fe) in edit.frags.iter().enumerate() {
+        named.extend(fe.insert_edges.iter().flat_map(|e| [(e.0, i as FragId), (e.1, i as FragId)]));
+        affected.extend(fe.remove_edges.iter().flat_map(|e| [e.0, e.1]));
+        added.extend(fe.add_owned.iter().map(|(v, d)| (*v, d)));
     }
-    // Affected vertices: endpoints of every edge op, removed/added ids,
-    // migration targets — plus endpoints of edges dropped *implicitly* by
-    // a vertex removal (their holder sets may shrink too).
-    let mut affected: FxHashSet<VertexId> = FxHashSet::default();
-    for fe in &edit.frags {
-        for (u, v, _) in fe.insert_edges.iter().chain(fe.set_weights.iter()) {
-            affected.insert(*u);
-            affected.insert(*v);
-        }
-        for (u, v) in &fe.remove_edges {
-            affected.insert(*u);
-            affected.insert(*v);
-        }
+    named.sort_unstable();
+    named.dedup();
+    added.sort_unstable_by_key(|a| a.0);
+    let mut forced = moves.to_vec();
+    forced.sort_unstable();
+    affected.extend(named.iter().map(|n| n.0));
+    affected.extend(added.iter().map(|a| a.0).chain(forced.iter().map(|mv| mv.0)));
+    let has_ops = |fe: &FragmentEdit<V, E>| {
+        !(fe.insert_edges.is_empty() && fe.remove_edges.is_empty() && fe.set_weights.is_empty())
+    };
+    let mut plan = VertexCutPlan {
+        rewrite: (0..m).map(|i| dead_at[i] || has_ops(&edit.frags[i])).collect(),
+        affected: Vec::new(),
+        held: vec![Vec::new(); m],
+        incoming: (0..m).map(|_| Vec::new()).collect(),
+        demoted: vec![Vec::new(); m],
+        dropped: vec![Vec::new(); m],
+        events: vec![Vec::new(); m],
+        repoint: vec![Vec::new(); m],
+    };
+    // Fragments each vertex is left without an edge at, ascending.
+    let mut left: Vec<(VertexId, FragId)> = Vec::new();
+    for s in scanned {
+        affected.extend_from_slice(&s.lost_edge);
+        left.extend(s.left.iter().map(|&g| (g, s.frag as FragId)));
+        plan.rewrite[s.frag] |= !s.left.is_empty();
+        plan.dropped[s.frag] = s.left;
     }
-    affected.extend(edit.removed_vertices.iter().copied());
-    affected.extend(edit.added.iter().map(|&(v, _)| v));
-    affected.extend(edit.owner_overrides.keys().copied());
-    if !edit.removed_vertices.is_empty() {
-        for f in frags.iter() {
-            if !edit.removed_vertices.iter().any(|v| f.local(*v).is_some()) {
+    affected.sort_unstable();
+    affected.dedup();
+    left.sort_unstable();
+
+    // Where each affected vertex is owned now (`None`: added).
+    let at_owner: Vec<Option<(usize, LocalId)>> = affected
+        .iter()
+        .map(|&v| {
+            (0..m).find_map(|i| view[i].local(v).filter(|&l| view[i].is_owned(l)).map(|l| (i, l)))
+        })
+        .collect();
+    let named_at = |v: VertexId| {
+        let lo = named.partition_point(|n| n.0 < v);
+        &named[lo..lo + named[lo..].partition_point(|n| n.0 == v)]
+    };
+    // An isolated vertex is held at its home by no edge, so it leaves the
+    // home once an edge elsewhere names it. Only a vertex owned there
+    // alone with an empty row can be one; under directed storage one
+    // pass over the home's targets rules out edges into it.
+    let mut isolated: Vec<bool> = affected
+        .iter()
+        .zip(&at_owner)
+        .map(|(&v, at)| {
+            at.is_some_and(|(o, l)| {
+                o as FragId == home(v)
+                    && view[o].mirror_holders(l).is_empty()
+                    && view[o].neighbors(l).is_empty()
+                    && named_at(v).iter().any(|n| n.1 != o as FragId)
+            })
+        })
+        .collect();
+    if stored_directed(view) {
+        for (h, f) in view.iter().enumerate() {
+            let probe: Vec<usize> = (0..affected.len())
+                .filter(|&k| isolated[k] && at_owner[k].unwrap().0 == h)
+                .collect();
+            if probe.is_empty() {
                 continue;
             }
-            for l in f.local_vertices() {
-                let gu = f.global(l);
-                let u_removed = edit.removed_vertices.contains(&gu);
-                for &t in f.neighbors(l) {
-                    let gt = f.global(t);
-                    if u_removed || edit.removed_vertices.contains(&gt) {
-                        affected.insert(gu);
-                        affected.insert(gt);
-                    }
-                }
+            let marks = workers[0].fresh_marks(f.local_count(), 0);
+            for &t in f.local_graph().targets() {
+                marks[t as usize] = REFERENCED;
             }
-        }
-    }
-    let mut affected_sorted: Vec<VertexId> = affected.iter().copied().collect();
-    affected_sorted.sort_unstable();
-
-    // Old holder sets, owners, and one node payload per affected vertex.
-    let added_payload: FxHashMap<VertexId, &V> = edit.added.iter().map(|(v, d)| (*v, d)).collect();
-    let mut hs_old: FxHashMap<VertexId, Vec<FragId>> = FxHashMap::default();
-    let mut owner_old: FxHashMap<VertexId, FragId> = FxHashMap::default();
-    let mut payload: FxHashMap<VertexId, V> = FxHashMap::default();
-    for &v in &affected_sorted {
-        let mut hs = Vec::new();
-        for (i, f) in frags.iter().enumerate() {
-            if let Some(l) = f.local(v) {
-                hs.push(i as FragId);
-                if f.is_owned(l) {
-                    owner_old.insert(v, i as FragId);
-                }
-                payload.entry(v).or_insert_with(|| f.node(l).clone());
+            for k in probe {
+                isolated[k] = marks[at_owner[k].unwrap().1 as usize] == 0;
             }
-        }
-        if hs.is_empty() {
-            let d = added_payload
-                .get(&v)
-                .unwrap_or_else(|| panic!("vertex {v} not found in any fragment and not added"));
-            payload.insert(v, (*d).clone());
-        }
-        hs_old.insert(v, hs);
-    }
-    for v in &edit.removed_vertices {
-        assert!(!hs_old[v].is_empty(), "removed vertex {v} does not exist");
-    }
-
-    // Touched fragments: direct edits + every holder of an affected vertex.
-    let mut touched = vec![false; m];
-    for (i, fe) in edit.frags.iter().enumerate() {
-        if !fe.is_empty() {
-            touched[i] = true;
-        }
-    }
-    for &v in &affected_sorted {
-        for &h in &hs_old[&v] {
-            touched[h as usize] = true;
         }
     }
 
-    // Derive the post-edit edge list of every touched fragment and
-    // collect the post-edit incidence of affected vertices.
-    let mut edges_new: Vec<Option<Vec<(VertexId, VertexId, E)>>> = (0..m).map(|_| None).collect();
-    let mut edge_diff = vec![false; m];
-    let mut weights_decreased = 0u64;
-    let mut weights_increased = 0u64;
-    let mut inc_new: FxHashMap<VertexId, Vec<FragId>> =
-        affected_sorted.iter().map(|&v| (v, Vec::new())).collect();
-    for i in 0..m {
-        if !touched[i] {
-            continue;
-        }
-        let f: &Fragment<V, E> = frags[i];
-        let fe = &edit.frags[i];
-        let removed_pairs: FxHashSet<(VertexId, VertexId)> =
-            fe.remove_edges.iter().copied().collect();
-        let setw: FxHashMap<(VertexId, VertexId), &E> =
-            fe.set_weights.iter().map(|(u, v, w)| ((*u, *v), w)).collect();
-        let mut edges: Vec<(VertexId, VertexId, E)> =
-            Vec::with_capacity(f.edge_count() + fe.insert_edges.len());
-        let mut diff = !fe.insert_edges.is_empty();
-        for l in f.local_vertices() {
-            let gu = f.global(l);
-            let u_removed = edit.removed_vertices.contains(&gu);
-            for (t, d) in f.edges(l) {
-                let gt = f.global(t);
-                if u_removed
-                    || edit.removed_vertices.contains(&gt)
-                    || removed_pairs.contains(&(gu, gt))
-                {
-                    diff = true;
-                    continue;
-                }
-                if let Some(w) = setw.get(&(gu, gt)) {
-                    match weight_change(*w, d) {
-                        WeightChange::Decreased => {
-                            weights_decreased += 1;
-                            diff = true;
-                        }
-                        WeightChange::Unchanged => {}
-                        WeightChange::Increased => {
-                            weights_increased += 1;
-                            diff = true;
-                        }
-                    }
-                    edges.push((gu, gt, (*w).clone()));
-                } else {
-                    edges.push((gu, gt, d.clone()));
-                }
+    let (mut hs_old, mut hs) = (Vec::new(), Vec::new());
+    let mut left = left.into_iter().peekable();
+    for (k, v) in affected.into_iter().enumerate() {
+        // Holders and owner before: the owner's holder list plus itself.
+        hs_old.clear();
+        let node = match at_owner[k] {
+            Some((o, l)) => {
+                hs_old.extend_from_slice(view[o].mirror_holders(l));
+                hs_old.push(o as FragId);
+                hs_old.sort_unstable();
+                view[o].node(l).clone()
             }
-        }
-        for (u, v, d) in &fe.insert_edges {
-            assert!(
-                !edit.removed_vertices.contains(u) && !edit.removed_vertices.contains(v),
-                "inserted edge ({u}, {v}) touches a removed vertex"
-            );
-            edges.push((*u, *v, d.clone()));
-        }
-        for &(u, v, _) in &edges {
-            if let Some(e) = inc_new.get_mut(&u) {
-                e.push(i as FragId);
+            None => {
+                let at = added.binary_search_by_key(&v, |a| a.0);
+                added[at.unwrap_or_else(|_| panic!("vertex {v} not found in any fragment"))]
+                    .1
+                    .clone()
             }
-            if u != v {
-                if let Some(e) = inc_new.get_mut(&v) {
-                    e.push(i as FragId);
-                }
-            }
+        };
+        let owner_old = at_owner[k].map(|(o, _)| o as FragId);
+        // Holders after: the ones it keeps an edge at, plus every
+        // fragment an insert names it at.
+        hs.clear();
+        if !isolated[k] {
+            hs.extend_from_slice(&hs_old);
         }
-        edge_diff[i] = diff;
-        edges_new[i] = Some(edges);
-    }
-
-    // New holder sets and owners.
-    let mut hs_new: FxHashMap<VertexId, Vec<FragId>> = FxHashMap::default();
-    let mut owner_new: FxHashMap<VertexId, FragId> = FxHashMap::default();
-    let mut extra_homes: Vec<FragId> = Vec::new();
-    for &v in &affected_sorted {
-        let mut hs = inc_new.remove(&v).expect("affected vertex tracked");
+        while let Some((_, h)) = left.next_if(|c| c.0 == v) {
+            hs.retain(|&x| x != h);
+        }
+        hs.extend(named_at(v).iter().map(|n| n.1));
         hs.sort_unstable();
         hs.dedup();
         if hs.is_empty() {
-            hs.push(crate::partition::vertex_cut_isolated_home(v, m));
+            hs.push(home(v));
         }
-        let owner = if let Some(&o) = edit.owner_overrides.get(&v) {
-            assert!(hs.contains(&o), "owner override {o} for vertex {v} is not a holder");
-            o
-        } else if hs == hs_old[&v] {
-            owner_old[&v]
-        } else {
-            hs[v as usize % hs.len()]
+        let owner = match forced.binary_search_by_key(&v, |mv| mv.0) {
+            Ok(at) => {
+                let o = forced[at].1;
+                assert!(hs.contains(&o), "owner override {o} for vertex {v} is not a holder");
+                o
+            }
+            Err(_) if hs == hs_old => owner_old.expect("an unchanged holder set is not empty"),
+            Err(_) => hs[v as usize % hs.len()],
         };
         for &h in &hs {
-            if !touched[h as usize] {
-                extra_homes.push(h);
-            }
+            plan.held[h as usize].push(v);
         }
-        owner_new.insert(v, owner);
-        hs_new.insert(v, hs);
-    }
-    // Isolated homes not previously holding anything affected: their edge
-    // lists are untouched (any affected endpoint would have made them a
-    // holder), but they gain an edgeless local and must repack.
-    for h in extra_homes {
-        let i = h as usize;
-        if touched[i] {
-            continue;
+        if isolated[k] && !hs.contains(&home(v)) {
+            plan.dropped[home(v) as usize].push(v);
         }
-        touched[i] = true;
-        let f: &Fragment<V, E> = frags[i];
-        let mut edges = Vec::with_capacity(f.edge_count());
-        for l in f.local_vertices() {
-            let gu = f.global(l);
-            for (t, d) in f.edges(l) {
-                edges.push((gu, f.global(t), d.clone()));
+        if owner_old != Some(owner) {
+            plan.incoming[owner as usize].push((v, node.clone()));
+            plan.rewrite[owner as usize] = true;
+            if let Some(o) = owner_old {
+                plan.demoted[o as usize].push(v);
+                plan.rewrite[o as usize] = true;
             }
+            for &h in hs.iter().filter(|&&h| h != owner) {
+                plan.events[owner as usize].push((v, h, true));
+                plan.repoint[h as usize].push((v, owner));
+            }
+        } else if hs != hs_old {
+            let events = &mut plan.events[owner as usize];
+            events.extend(hs_old.iter().filter(|h| !hs.contains(h)).map(|&h| (v, h, false)));
+            events.extend(hs.iter().filter(|h| !hs_old.contains(h)).map(|&h| (v, h, true)));
         }
-        edges_new[i] = Some(edges);
+        plan.affected.push((v, owner, node));
     }
-
-    // Which fragments actually change bytes: edge-list diffs, plus every
-    // old/new holder of a vertex whose holder set or owner moved (the
-    // owned/copy split, mirror owners, holder CSRs and borders live
-    // there).
-    let mut rebuilt: Vec<bool> = (0..m).map(|i| touched[i] && edge_diff[i]).collect();
-    for &v in &affected_sorted {
-        let old = &hs_old[&v];
-        let new = &hs_new[&v];
-        if old != new || owner_old.get(&v) != Some(&owner_new[&v]) {
-            for &h in old.iter().chain(new.iter()) {
-                rebuilt[h as usize] = true;
-            }
-        }
-    }
-
-    // Affected vertices by post-edit holding fragment, ascending.
-    let mut affected_at: Vec<Vec<VertexId>> = vec![Vec::new(); m];
-    for &v in &affected_sorted {
-        for &h in &hs_new[&v] {
-            affected_at[h as usize].push(v);
-        }
-    }
-
-    if traced {
-        let args = Args::new()
-            .with("affected", affected_sorted.len())
-            .with("rebuilt", rebuilt.iter().filter(|&&r| r).count());
-        tracer.end(pid::DELTA, 0, cat::APPLY, "plan_patch", args);
-    }
-
-    let old_dests: Vec<Vec<FragId>> = frags.iter().map(|f| f.routing().dests().to_vec()).collect();
-    let mut remaps: Vec<StateRemap> = Vec::with_capacity(m);
-    let mut seeds: Vec<Vec<LocalId>> = vec![Vec::new(); m];
-    for i in 0..m {
-        if !rebuilt[i] {
-            remaps.push(StateRemap::identity(frags[i].local_count()));
-            for &v in &affected_at[i] {
-                seeds[i].push(frags[i].local(v).expect("unchanged holder keeps its copy"));
-            }
-            seeds[i].sort_unstable();
-            seeds[i].dedup();
-            continue;
-        }
-        if traced {
-            tracer.begin(
-                pid::DELTA,
-                i as u32,
-                cat::APPLY,
-                "repack",
-                Args::new().with("frag", i).with("locals", frags[i].local_count()),
-            );
-        }
-        let (nf, remap, sds) = {
-            let f: &Fragment<V, E> = frags[i];
-            // New local layout: owned (sorted by global) then copies
-            // (sorted by global), matching the from-scratch builder.
-            let mut owned_new: Vec<(VertexId, V)> = Vec::new();
-            let mut copies_new: Vec<(VertexId, V, FragId)> = Vec::new();
-            for l in f.local_vertices() {
-                let g = f.global(l);
-                if affected.contains(&g) {
-                    continue; // re-added below if it stays
-                }
-                if f.is_owned(l) {
-                    owned_new.push((g, f.node(l).clone()));
-                } else {
-                    copies_new.push((g, f.node(l).clone(), f.owner(l)));
-                }
-            }
-            for &v in &affected_at[i] {
-                let d = payload[&v].clone();
-                let o = owner_new[&v];
-                if o == i as FragId {
-                    owned_new.push((v, d));
-                } else {
-                    copies_new.push((v, d, o));
-                }
-            }
-            owned_new.sort_unstable_by_key(|&(g, _)| g);
-            copies_new.sort_unstable_by_key(|&(g, _, _)| g);
-
-            let owned_n = owned_new.len();
-            let n_local = owned_n + copies_new.len();
-            let mut g2l: FxHashMap<VertexId, LocalId> = FxHashMap::default();
-            g2l.reserve(n_local);
-            let mut globals = Vec::with_capacity(n_local);
-            let mut node_data: Vec<V> = Vec::with_capacity(n_local);
-            for (g, d) in &owned_new {
-                g2l.insert(*g, globals.len() as LocalId);
-                globals.push(*g);
-                node_data.push(d.clone());
-            }
-            let mut mirror_owner = Vec::with_capacity(copies_new.len());
-            for (g, d, o) in &copies_new {
-                g2l.insert(*g, globals.len() as LocalId);
-                globals.push(*g);
-                node_data.push(d.clone());
-                mirror_owner.push(*o);
-            }
-
-            let edges = edges_new[i].take().expect("rebuilt fragment derived its edges");
-            let mut offsets = vec![0usize; n_local + 1];
-            for &(u, _, _) in &edges {
-                offsets[g2l[&u] as usize + 1] += 1;
-            }
-            for l in 1..=n_local {
-                offsets[l] += offsets[l - 1];
-            }
-            let mut cursor = offsets.clone();
-            let mut targets = vec![0 as LocalId; edges.len()];
-            let mut slots: Vec<Option<E>> = vec![None; edges.len()];
-            for (u, v, d) in edges {
-                let lu = g2l[&u] as usize;
-                targets[cursor[lu]] = g2l[&v];
-                slots[cursor[lu]] = Some(d);
-                cursor[lu] += 1;
-            }
-            let edge_data: Vec<E> =
-                slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-            let directed = f.local_graph().is_directed();
-            let local_graph = Graph::from_parts(directed, node_data, offsets, targets, edge_data);
-
-            // Border + holder CSR over owned: affected vertices use the
-            // recomputed holder set, unchanged ones keep their old lists.
-            let mut border: Vec<LocalId> = Vec::new();
-            let mut holder_offsets = vec![0u32; owned_n + 1];
-            let mut holders: Vec<FragId> = Vec::new();
-            for (l, (g, _)) in owned_new.iter().enumerate() {
-                let hlist: &[FragId] = if affected.contains(g) {
-                    &hs_new[g]
-                } else {
-                    f.mirror_holders(f.local(*g).expect("unchanged owned vertex"))
-                };
-                for &h in hlist {
-                    if h != i as FragId {
-                        holders.push(h);
-                        holder_offsets[l + 1] += 1;
-                    }
-                }
-                if holder_offsets[l + 1] > 0 {
-                    border.push(l as LocalId);
-                }
-            }
-            for l in 1..=owned_n {
-                holder_offsets[l] += holder_offsets[l - 1];
-            }
-
-            let table: Vec<LocalId> =
-                f.globals().iter().map(|g| g2l.get(g).copied().unwrap_or(LocalId::MAX)).collect();
-            let remap = StateRemap::from_table(table, n_local);
-            let mut sds: Vec<LocalId> = affected_at[i].iter().map(|v| g2l[v]).collect();
-            sds.sort_unstable();
-            sds.dedup();
-
-            let nf = Fragment::from_parts(
-                f.id(),
-                f.num_frags(),
-                true,
-                local_graph,
-                globals,
-                owned_n,
-                border.clone(),
-                border,
-                mirror_owner,
-                holder_offsets,
-                holders,
-            );
-            (nf, remap, sds)
-        };
-        *frags[i] = nf;
-        remaps.push(remap);
-        seeds[i] = sds;
-        if traced {
-            tracer.end(
-                pid::DELTA,
-                i as u32,
-                cat::APPLY,
-                "repack",
-                Args::new()
-                    .with("locals", frags[i].local_count())
-                    .with("seeds", seeds[i].len())
-                    .with("rows_edited", affected_at[i].len())
-                    .with("edges", frags[i].edge_count()),
-            );
-        }
-    }
-
-    // Routing: rebuilt fragments plus peers pointing at renumbered ones.
-    let changed = rebuilt.clone();
-    debug_check(frags, &changed);
-    if traced {
-        tracer.begin(pid::DELTA, 0, cat::APPLY, "routing", Args::new());
-    }
-    let need = routing_targets(&old_dests, &remaps, rebuilt);
-    rebuild_routing_tables_where(frags, &need);
-    if traced {
-        let args = Args::new().with("tables", need.iter().filter(|&&n| n).count());
-        tracer.end(pid::DELTA, 0, cat::APPLY, "routing", args);
-    }
-
-    AppliedEdit { remaps, seeds, weights_decreased, weights_increased, changed }
+    plan
 }
 
 /// One ownership move of the elastic rebalancer: a vertex and the
@@ -1824,7 +1817,7 @@ where
             let args = Args::new().with("frag", i).with("locals", f.local_count());
             tracer.begin(pid::DELTA, i as u32, cat::BALANCE, "repack", args);
         }
-        let marks = bufs.fresh_marks(f.local_count());
+        let marks = bufs.fresh_marks(f.local_count(), 0);
         for &v in moved_sorted.iter().filter(|&&v| moved_from[v as usize] == fid) {
             marks[f.local(v).expect("moved vertex owned at source") as usize] |= MOVED_OUT;
         }
@@ -1852,7 +1845,7 @@ where
             },
             on_overwrite: &mut |_, _| unreachable!("a migration overwrites no weight"),
         };
-        let sp = splice_fragment(f, &edits[i], &mut bufs, hooks);
+        let sp = splice_fragment(f, &edits[i], &edits[i].add_owned, &mut bufs, hooks);
         if traced {
             let args = Args::new()
                 .with("locals", sp.frag.local_count())
@@ -2679,11 +2672,9 @@ mod tests {
             .expect("some vertex is replicated");
         let total_owned: usize = frags.iter().map(|f| f.owned_count()).sum();
 
-        let mut edit = VertexCutEdit::empty(3);
-        edit.owner_overrides.insert(v, to);
         let applied = {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            patch_vertex_cut(&mut refs, &edit, &Tracer::default())
+            migrate_vertex_cut(&mut refs, &[(v, to)], &Tracer::default())
         };
 
         // Ownership moved; the old owner keeps a copy (its edges stayed).
@@ -2801,12 +2792,13 @@ mod tests {
         let mut frags = crate::partition::build_fragments_vertex_cut_n(&g, &ea, 4);
         // Insert undirected logical edge 3-27 via the pair-hash rule.
         let t = crate::partition::vertex_cut_edge_frag(3, 27, 4) as usize;
-        let mut edit = VertexCutEdit::empty(4);
+        let mut edit = edit_for(4);
         edit.frags[t].insert_edges.push((3, 27, 9u32));
         edit.frags[t].insert_edges.push((27, 3, 9));
+        edit.touched[t] = true;
         {
             let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-            patch_vertex_cut(&mut refs, &edit, &Tracer::default());
+            apply_partition_edit(&mut refs, &edit, &mut EditBuffers::default(), 1);
         }
         // Reference: canonical rebuild of the edited graph.
         let mut b = GraphBuilder::new_undirected(50);

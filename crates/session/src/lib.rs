@@ -86,7 +86,9 @@ use aap_balance::{execute_migration, plan_migration, BalanceMonitor};
 use aap_core::engine::RunState;
 use aap_core::pie::WarmStart;
 use aap_core::{Engine, EngineOpts, Mode, WarmStrategy};
-use aap_delta::{apply_to_fragments_par, DeltaSummary, GraphDelta, IncrementalPlan};
+use aap_delta::{
+    apply_to_fragments_par, validate, DeltaSummary, GraphDelta, IncrementalPlan, InvalidDelta,
+};
 use aap_graph::mutate::EditBuffers;
 use aap_graph::partition::{
     build_fragments_n, build_fragments_vertex_cut_n, hash_partition, vertex_cut_partition,
@@ -175,6 +177,10 @@ pub enum SessionError {
     Snapshot(SnapshotError),
     /// A plain filesystem error.
     Io(PathBuf, std::io::Error),
+    /// `apply` was handed a delta that cannot apply to the session's
+    /// graph (see [`aap_delta::validate`]); nothing was planned, mutated
+    /// or logged.
+    InvalidDelta(InvalidDelta),
 }
 
 impl std::fmt::Display for SessionError {
@@ -228,6 +234,7 @@ impl std::fmt::Display for SessionError {
             }
             SessionError::Snapshot(e) => write!(f, "{e}"),
             SessionError::Io(path, e) => write!(f, "{}: {e}", path.display()),
+            SessionError::InvalidDelta(e) => write!(f, "invalid delta: {e}"),
         }
     }
 }
@@ -1362,7 +1369,11 @@ where
     /// [`SessionError::LogWedged`] and refuses further applies until a
     /// successful [`Session::checkpoint`] re-baselines the directory
     /// (queries keep serving the consistent in-memory state meanwhile).
+    /// A delta that cannot apply to the session's graph returns
+    /// [`SessionError::InvalidDelta`] before anything is planned,
+    /// mutated or logged.
     pub fn apply(&mut self, delta: &GraphDelta<V, E>) -> Result<ApplyReport, SessionError> {
+        validate(self.backend.fragments(), delta).map_err(SessionError::InvalidDelta)?;
         // Settle a finished background cut first: its epoch flip (or
         // failure wedge) must land before this delta is logged.
         self.harvest_pending(false);

@@ -11,7 +11,9 @@
 //! [`AppliedEdit`]: grape_aap::graph::mutate::AppliedEdit
 
 use grape_aap::graph::mutate::{apply_partition_edit, EditBuffers, FragmentEdit, PartitionEdit};
-use grape_aap::graph::partition::{build_fragments_n, hash_partition};
+use grape_aap::graph::partition::{
+    build_fragments_n, build_fragments_vertex_cut_n, hash_partition, vertex_cut_partition,
+};
 use grape_aap::graph::{generate, Fragment, FxHashMap, FxHashSet};
 use grape_aap::prelude::*;
 
@@ -20,9 +22,13 @@ use common::{allocs, bytes};
 
 const M: usize = 4;
 
-fn fragments() -> Vec<Fragment<(), u32>> {
+fn fragments(vertex_cut: bool) -> Vec<Fragment<(), u32>> {
     let g = generate::small_world(800, 3, 0.2, 7);
-    build_fragments_n(&g, &hash_partition(&g, M), M)
+    if vertex_cut {
+        build_fragments_vertex_cut_n(&g, &vertex_cut_partition(&g, M), M)
+    } else {
+        build_fragments_n(&g, &hash_partition(&g, M), M)
+    }
 }
 
 /// A weight-only edit naming a handful of stored edges in fragment 0,
@@ -50,43 +56,49 @@ fn weight_edit(frags: &[Fragment<(), u32>], w: u32) -> PartitionEdit<(), u32> {
     PartitionEdit { frags: edits, removed_vertices: FxHashSet::default(), owners, touched }
 }
 
-/// The weight-only fast path: after warm-up, every batch allocates the
-/// same small count — exactly the returned `AppliedEdit` (remaps vector,
-/// seeds vectors), never the scratch sets, which live in the pooled
-/// `EditBuffers` and keep their capacity.
+/// The weight-only fast path, on edge-cut and on vertex-cut fragments:
+/// after warm-up, every batch allocates the same small count — exactly
+/// the returned `AppliedEdit` (remaps vector, seeds vectors), never the
+/// scratch sets, which live in the pooled `EditBuffers` and keep their
+/// capacity.
 #[test]
 fn weight_only_stream_reaches_a_small_constant_allocation_per_batch() {
-    let mut frags = fragments();
-    let lo = weight_edit(&frags, 1);
-    let hi = weight_edit(&frags, 9);
-    let mut bufs = EditBuffers::default();
+    for vertex_cut in [false, true] {
+        let mut frags = fragments(vertex_cut);
+        let lo = weight_edit(&frags, 1);
+        let hi = weight_edit(&frags, 9);
+        let mut bufs = EditBuffers::default();
 
-    let mut run_batch = |bufs: &mut EditBuffers, round: usize| {
-        let edit = if round.is_multiple_of(2) { &lo } else { &hi };
-        let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
-        let applied = apply_partition_edit(&mut refs, edit, bufs, 1);
-        assert!(applied.remaps.iter().all(|r| r.is_identity()));
-    };
+        let mut run_batch = |bufs: &mut EditBuffers, round: usize| {
+            let edit = if round.is_multiple_of(2) { &lo } else { &hi };
+            let mut refs: Vec<&mut Fragment<(), u32>> = frags.iter_mut().collect();
+            let applied = apply_partition_edit(&mut refs, edit, bufs, 1);
+            assert!(applied.remaps.iter().all(|r| r.is_identity()));
+        };
 
-    for round in 0..8 {
-        run_batch(&mut bufs, round);
-    }
-    let a = allocs();
-    for round in 8..24 {
-        run_batch(&mut bufs, round);
-    }
-    let b = allocs();
-    for round in 24..40 {
-        run_batch(&mut bufs, round);
-    }
-    let c = allocs();
+        for round in 0..8 {
+            run_batch(&mut bufs, round);
+        }
+        let a = allocs();
+        for round in 8..24 {
+            run_batch(&mut bufs, round);
+        }
+        let b = allocs();
+        for round in 24..40 {
+            run_batch(&mut bufs, round);
+        }
+        let c = allocs();
 
-    assert_eq!(b - a, c - b, "steady-state windows must allocate identically");
-    let per_batch = (b - a) / 16;
-    // The returned AppliedEdit: one remaps Vec, one seeds outer Vec, one
-    // non-empty inner seeds Vec (+ possible growth doubling) — anything
-    // beyond ~8 means scratch state leaked out of the pool.
-    assert!(per_batch <= 8, "weight-only batch allocated {per_batch} times; pool not retained");
+        assert_eq!(b - a, c - b, "vertex_cut = {vertex_cut}: steady-state windows must match");
+        let per_batch = (b - a) / 16;
+        // The returned AppliedEdit: one remaps Vec, one seeds outer Vec,
+        // one non-empty inner seeds Vec (+ possible growth doubling) —
+        // anything beyond ~8 means scratch state leaked out of the pool.
+        assert!(
+            per_batch <= 8,
+            "vertex_cut = {vertex_cut}: weight-only batch allocated {per_batch} times"
+        );
+    }
 }
 
 /// Structural batches (insert + remove, CSR splice) through the full
@@ -99,7 +111,7 @@ fn weight_only_stream_reaches_a_small_constant_allocation_per_batch() {
 fn structural_stream_retains_scratch_capacity_across_batches() {
     use grape_aap::delta::apply::apply_to_fragments_par;
 
-    let mut frags = fragments();
+    let mut frags = fragments(false);
     let probe = {
         // An edge between two vertices owned by different fragments, so
         // the batch touches two fragments' CSRs every round.

@@ -142,9 +142,10 @@ fn eval_spans_carry_kernel_work_and_send_counts() {
 /// children — `resolve_edit`, one `repack` per changed fragment (each
 /// covering that fragment's whole splice, with `rows_edited` / `edges`
 /// on its end event) and `routing` — lie inside it and cover at least
-/// 80 % of it; the threaded driver emits the same set; the vertex-cut
-/// patch emits `resolve_edit` and one `repack` per changed fragment;
-/// and the capture still nests per `(pid, tid)` for the bench parser.
+/// 80 % of it; the threaded driver emits the same set; on vertex-cut
+/// fragments, serial and threaded, the same children plus the planner's
+/// `plan_vertex_cut` span hold the same asserts; and the capture still
+/// nests per `(pid, tid)` for the bench parser.
 #[test]
 fn apply_delta_children_cover_the_structural_apply() {
     use grape_aap::delta::apply::apply_to_fragments_par;
@@ -164,7 +165,7 @@ fn apply_delta_children_cover_the_structural_apply() {
     }
     let delta = delta.build();
 
-    for (vertex_cut, threads) in [(false, 1usize), (false, 2), (true, 1)] {
+    for (vertex_cut, threads) in [(false, 1usize), (false, 2), (true, 1), (true, 2)] {
         let mut frags = if vertex_cut {
             build_fragments_vertex_cut_n(&g, &vertex_cut_partition(&g, 4), 4)
         } else {
